@@ -99,11 +99,9 @@ class AnnotationDatabase:
 
     # --- persistence ------------------------------------------------------------------
 
-    def save(self, directory: str | Path) -> None:
-        """Persist as ``meta.json`` + ``images.npz`` in a directory."""
-        directory = Path(directory)
-        directory.mkdir(parents=True, exist_ok=True)
-        meta = {
+    def meta_dict(self) -> dict:
+        """Every field except the images, as the JSON ``meta.json`` holds."""
+        return {
             "workload_name": self.workload_name,
             "screen_width": self.screen_width,
             "screen_height": self.screen_height,
@@ -127,8 +125,13 @@ class AnnotationDatabase:
                 for a in self.annotations
             ],
         }
+
+    def save(self, directory: str | Path) -> None:
+        """Persist as ``meta.json`` + ``images.npz`` in a directory."""
+        directory = Path(directory)
+        directory.mkdir(parents=True, exist_ok=True)
         (directory / "meta.json").write_text(
-            json.dumps(meta, indent=2), encoding="utf-8"
+            json.dumps(self.meta_dict(), indent=2), encoding="utf-8"
         )
         images = {
             f"lag_{a.gesture_index}": a.image for a in self.annotations

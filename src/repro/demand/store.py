@@ -21,10 +21,9 @@ that triggers a fresh capture, never an error.
 from __future__ import annotations
 
 import hashlib
-import os
-import tempfile
 from pathlib import Path
 
+from repro.core.atomic import atomic_write_text
 from repro.demand.trace import (
     DEMAND_TRACE_SCHEMA_VERSION,
     DemandTrace,
@@ -78,17 +77,4 @@ class DemandTraceStore:
 
     def store(self, artifacts, trace: DemandTrace) -> None:
         path = self.path_for(demand_trace_key(artifacts))
-        path.parent.mkdir(parents=True, exist_ok=True)
-        fd, tmp_name = tempfile.mkstemp(
-            dir=path.parent, prefix=".tmp-", suffix=".json"
-        )
-        try:
-            with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                handle.write(trace.dumps())
-            os.replace(tmp_name, path)
-        except BaseException:
-            try:
-                os.unlink(tmp_name)
-            except OSError:
-                pass
-            raise
+        atomic_write_text(path, trace.dumps())

@@ -297,7 +297,7 @@ class FleetEngine:
     def _fingerprint(self, artifacts: WorkloadArtifacts) -> str:
         """The artifacts' content hash, computed once per artifacts object.
 
-        Hashing re-pickles the full trace and annotation database;
+        Hashing serialises the full trace and annotation database;
         callers that funnel many batches through one engine (the
         design-space evaluator, multi-rung searches) must not pay that
         per batch.

@@ -34,14 +34,16 @@ Sweeps, studies and explorations dispatch their runs through the fleet
 engine (:mod:`repro.fleet`): ``--jobs N`` replays on N worker processes,
 and a content-addressed result cache (``--cache-dir``, default
 ``~/.cache/repro-qoe``; disable with ``--no-cache``) means a re-run only
-executes cells whose inputs changed.  ``--backend NAME[:key=value,...]``
-swaps the execution backend: ``local`` (the default pool) or
-``distributed``, whose workers pull cells from a shared sqlite work
-queue and publish rows to a shared store, so a killed sweep resumes
-where it left off (``batch=N`` leases and acks N cells per queue
-transaction).  Results are bit-identical to a serial, uncached run
-for every backend; ``explore`` keeps its stdout bit-identical across
-``--jobs`` values by sending timing and cache telemetry to stderr.
+executes cells whose inputs changed.  The same directory keeps each
+recorded workload, so a re-run reads its workloads instead of recording
+them again.  ``--backend NAME[:key=value,...]`` swaps the execution
+backend: ``local`` (the default pool) or ``distributed``, whose workers
+pull cells from a shared sqlite work queue and publish rows to a shared
+store, so a killed sweep resumes where it left off (``batch=N`` leases
+and acks N cells per queue transaction).  Results are bit-identical to
+a serial, uncached run for every backend; ``explore`` keeps its stdout
+bit-identical across ``--jobs`` values by sending timing and cache
+telemetry to stderr.
 
 Kill switches (``REPRO_*`` environment flags, see
 :mod:`repro.core.env`): ``REPRO_DEMAND=0`` disables the kernel-only
@@ -67,7 +69,7 @@ from repro.explore.evaluator import (
 from repro.explore.pareto import render_frontier_report
 from repro.explore.space import builtin_space, builtin_space_names
 from repro.explore.strategies import make_strategy, strategy_names
-from repro.fleet.cache import ResultCache
+from repro.fleet.cache import ResultCache, WorkloadStore
 from repro.fleet.progress import ProgressReporter
 from repro.fleet.spec import RunSpec
 from repro.harness import figures
@@ -244,12 +246,42 @@ def _workload_name(args) -> str:
     return args.dataset
 
 
-def _print_cache_summary(cache: ResultCache | None, stream=None) -> None:
-    """Cache telemetry; defaults to stderr — stdout belongs to study
-    results and is pinned byte-identical by the integration tests."""
+class _Workloads:
+    """The recorded workloads of one command: from the store, else recorded.
+
+    With a result cache the recordings live beside it
+    (:class:`~repro.fleet.cache.WorkloadStore`), so a warm re-run reads
+    each workload instead of simulating the recording again.  A fresh
+    recording goes through this module's ``record_workload`` name, so
+    anything that wraps that name sees exactly the real recordings.
+    """
+
+    def __init__(self, cache: ResultCache | None) -> None:
+        self.store = WorkloadStore.for_cache(cache)
+        self.loaded = 0
+        self.recorded = 0
+
+    def get(self, spec, master_seed: int):
+        if self.store is not None:
+            artifacts = self.store.load(spec.name, master_seed)
+            if artifacts is not None:
+                self.loaded += 1
+                return artifacts
+        artifacts = record_workload(spec, master_seed=master_seed)
+        self.recorded += 1
+        if self.store is not None:
+            self.store.store(artifacts)
+        return artifacts
+
+
+def _print_cache_summary(cache: ResultCache | None, workloads: _Workloads) -> None:
+    """Cache telemetry on stderr — stdout belongs to study results and
+    is pinned byte-identical by the integration tests."""
+    print(f"# workloads: {workloads.loaded} loaded, "
+          f"{workloads.recorded} recorded", file=sys.stderr)
     if cache is not None:
         print(f"# cache: {cache.hits} hits, {cache.misses} misses "
-              f"({cache.root})", file=stream or sys.stderr)
+              f"({cache.root})", file=sys.stderr)
 
 
 def cmd_table1(_args) -> int:
@@ -289,7 +321,8 @@ def cmd_sweep(args) -> int:
     spec = dataset(_workload_name(args))  # validated before recording
     table = frequency_table_for(spec)
     configs = _sweep_configs_from_args(args, table)
-    artifacts = record_workload(spec, master_seed=seed)
+    workloads = _Workloads(cache)
+    artifacts = workloads.get(spec, seed)
     jsonl = _progress_jsonl(args)
     try:
         sweep = run_sweep(
@@ -311,7 +344,7 @@ def cmd_sweep(args) -> int:
     print(f"# dataset {artifacts.name}: {artifacts.input_count} inputs, "
           f"{artifacts.database.lag_count} lags")
     print(f"# {time.time() - t0:.1f}s wall", file=sys.stderr)
-    _print_cache_summary(cache, stream=sys.stderr)
+    _print_cache_summary(cache, workloads)
     print()
     print("Fig. 11 — lag duration distributions")
     print(figures.render_fig11(sweep))
@@ -334,13 +367,14 @@ def cmd_study(args) -> int:
         names.extend(canonical_scenario(s) for s in args.scenarios)
     sweeps = {}
     artifacts_list = []
+    workloads = _Workloads(cache)
     # One reporter across every per-workload sweep: the JSONL stream is a
     # single ordered sequence (monotonic seq), re-bound per grid.
     jsonl = _progress_jsonl(args)
     reporter = _progress("study", args.verbose, jsonl)
     try:
         for name in names:
-            artifacts = record_workload(dataset(name), master_seed=seed)
+            artifacts = workloads.get(dataset(name), seed)
             artifacts_list.append(artifacts)
             if reporter is not None:
                 reporter.label = name
@@ -367,7 +401,7 @@ def cmd_study(args) -> int:
         print(f"  {key}: {100 * value:.0f}%")
     # Telemetry on stderr: study stdout stays bit-identical across
     # --jobs values and warm re-runs, like sweep and explore.
-    _print_cache_summary(cache, stream=sys.stderr)
+    _print_cache_summary(cache, workloads)
     return 0
 
 
@@ -425,7 +459,8 @@ def cmd_explore(args) -> int:
         reps=args.reps,
         irritation_weight=args.irritation_weight,
     )
-    artifacts = record_workload(dataset(args.dataset), master_seed=seed)
+    workloads = _Workloads(cache)
+    artifacts = workloads.get(dataset(args.dataset), seed)
     jsonl = _progress_jsonl(args)
     try:
         evaluator = ExploreEvaluator(
@@ -465,7 +500,7 @@ def cmd_explore(args) -> int:
     print(f"# {evaluator.replays_executed} replay(s) executed, "
           f"{evaluator.cache_hits} served from cache "
           f"({time.time() - t0:.1f}s wall)", file=sys.stderr)
-    _print_cache_summary(cache, stream=sys.stderr)
+    _print_cache_summary(cache, workloads)
     return 0
 
 

@@ -14,33 +14,38 @@ result over as ``IntPairs`` without ever boxing a pair; the
 :class:`~repro.results.RunRecord` holds them in this form for its whole
 lifetime.
 
-Wire rows decode lazily: :meth:`IntPairs.from_lists` adopts the
-``[[a, b], ...]`` lists straight out of ``json.loads`` and defers the
-element-wise conversion until a consumer actually reads the pairs.
-Profiling the warm-cache scan showed that conversion dominating a fully
-cached sweep — and most cached records' traces are never read at all
-(sweep aggregation touches energy scalars and lag profiles; only the
-oracle's reference rows walk their busy intervals).  A record that *is*
-read converts once and frees the raw rows; one that is not never pays.
+On the wire (fleet IPC and the result cache) a sequence is one ASCII
+string, :meth:`IntPairs.to_packed`: base64 of a zlib stream over
+little-endian int64 words — the first column followed by the second,
+delta-coded (each word minus its predecessor, wrapping modulo 2**64).
+Timestamps rise in small steps and frequencies repeat, so the deltas
+compress ~3.5x better than the raw words, and the numpy ``diff`` /
+``cumsum`` pair is faster than the larger zlib stream it saves.
+Decoding ends in a ``frombytes`` — no per-pair Python work in either
+direction.
 """
 
 from __future__ import annotations
 
+import base64
+import zlib
 from array import array
 from typing import Iterable, Iterator
 
+import numpy as np
+
 _TYPECODE = "q"  # signed 64-bit: microsecond timestamps and kHz both fit
+_WIRE_WORD = np.dtype("<i8")  # the wire is little-endian whatever the host
+_ZLIB_LEVEL = 1  # higher levels cost time and shrink the deltas little
 
 
 class IntPairs:
     """An immutable-by-convention sequence of integer pairs."""
 
-    __slots__ = ("_a", "_b", "_rows")
+    __slots__ = ("_a", "_b")
 
     def __init__(self, pairs: "Iterable[tuple[int, int]] | IntPairs" = ()) -> None:
-        self._rows = None
         if isinstance(pairs, IntPairs):
-            pairs._materialise()
             self._a = array(_TYPECODE, pairs._a)
             self._b = array(_TYPECODE, pairs._b)
             return
@@ -53,27 +58,6 @@ class IntPairs:
         self._b = b
 
     @classmethod
-    def from_lists(cls, rows: list) -> "IntPairs":
-        """Adopt the JSON wire form ``[[a, b], ...]`` without decoding it.
-
-        The rows are kept as-is and converted to the packed arrays on
-        first read access (then freed); :meth:`to_lists` round-trips
-        straight from the adopted rows.  Malformed rows therefore raise
-        at first access rather than here — callers that need eager
-        validation (there are none on the wire path: the rows come from
-        this class's own canonical serialization) should use the strict
-        constructor.  Anything that is not a list falls back to the
-        strict constructor immediately.
-        """
-        if type(rows) is not list:
-            return cls(rows)
-        pairs = cls.__new__(cls)
-        pairs._a = None
-        pairs._b = None
-        pairs._rows = rows
-        return pairs
-
-    @classmethod
     def from_arrays(cls, a: array, b: array) -> "IntPairs":
         """Adopt two parallel ``array('q')`` buffers (no copy)."""
         if len(a) != len(b):
@@ -83,44 +67,57 @@ class IntPairs:
         pairs = cls.__new__(cls)
         pairs._a = a
         pairs._b = b
-        pairs._rows = None
         return pairs
 
-    def _materialise(self) -> None:
-        """Convert adopted wire rows into the packed arrays (idempotent)."""
-        rows = self._rows
-        if rows is None:
-            return
+    # --- wire form --------------------------------------------------------------
+
+    def to_packed(self) -> str:
+        """The wire form: base64(zlib(LE int64 deltas of first + second))."""
+        words = np.concatenate(
+            (np.frombuffer(self._a, np.int64), np.frombuffer(self._b, np.int64))
+        )
+        deltas = np.diff(words, prepend=np.int64(0)).astype(_WIRE_WORD)
+        packed = zlib.compress(deltas.tobytes(), _ZLIB_LEVEL)
+        return base64.b64encode(packed).decode("ascii")
+
+    @classmethod
+    def from_packed(cls, text: str) -> "IntPairs":
+        """Decode :meth:`to_packed` output.
+
+        Raises ``ValueError`` (``binascii.Error`` is one) on bad base64,
+        ``zlib.error`` on a truncated or corrupt stream, and
+        ``ValueError`` when the words do not split into two equal
+        columns — the result cache treats all of them as a miss.
+        """
+        raw = zlib.decompress(base64.b64decode(text, validate=True))
+        if len(raw) % (2 * _WIRE_WORD.itemsize):
+            raise ValueError(
+                f"packed pairs hold {len(raw)} bytes, not a whole number "
+                "of int64 pairs"
+            )
+        words = np.cumsum(np.frombuffer(raw, _WIRE_WORD), dtype=np.int64)
+        half = len(words) // 2
         a = array(_TYPECODE)
+        a.frombytes(words[:half].tobytes())
         b = array(_TYPECODE)
-        for first, second in rows:
-            a.append(first)
-            b.append(second)
-        self._a = a
-        self._b = b
-        self._rows = None
+        b.frombytes(words[half:].tobytes())
+        return cls.from_arrays(a, b)
 
     # --- sequence protocol ------------------------------------------------------
 
     def __len__(self) -> int:
-        if self._rows is not None:
-            return len(self._rows)
         return len(self._a)
 
     def __iter__(self) -> Iterator[tuple[int, int]]:
-        self._materialise()
         return zip(self._a, self._b)
 
     def __getitem__(self, index):
-        self._materialise()
         if isinstance(index, slice):
             return list(zip(self._a[index], self._b[index]))
         return (self._a[index], self._b[index])
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, IntPairs):
-            self._materialise()
-            other._materialise()
             return self._a == other._a and self._b == other._b
         if isinstance(other, (list, tuple)):
             return len(other) == len(self) and all(
@@ -137,20 +134,10 @@ class IntPairs:
 
     def firsts(self) -> array:
         """The first elements as a live ``array('q')`` (do not mutate)."""
-        self._materialise()
         return self._a
 
     def seconds(self) -> array:
-        self._materialise()
         return self._b
-
-    def to_lists(self) -> list[list[int]]:
-        """JSON form: ``[[a, b], ...]``."""
-        if self._rows is not None:
-            # Adopted wire rows round-trip without converting; fresh
-            # outer/inner lists so a caller cannot alias our state.
-            return [list(row) for row in self._rows]
-        return [[first, second] for first, second in self]
 
     def tolist(self) -> list[tuple[int, int]]:
         return list(self)

@@ -19,6 +19,13 @@ Schema rules
 * Rows are pure JSON: ints, floats, strings, lists.  Floats round-trip
   exactly (``json`` emits ``repr``-precision), which the bit-identical
   A/B guarantees rely on.
+* The two trace columns, ``transitions`` and ``busy_intervals``, are
+  packed: each is one ASCII string, base64 of a zlib stream over
+  delta-coded little-endian int64 words (first column, then second) —
+  see :meth:`~repro.results.pairs.IntPairs.to_packed`.  A row carries
+  thousands of pairs; as ``[[a, b], ...]`` lists they made up nearly all
+  of its bytes and its ``json.loads`` time.  Packing them was the
+  version-3 layout change.
 * The ``obs`` section (``REPRO_TRACE=1`` observability harvest) is
   self-versioned by ``repro.obs.metrics.OBS_SCHEMA_VERSION`` and
   omitted entirely when ``None``; its internal layout is opaque to this
@@ -43,7 +50,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 #: Version of the serialized row layout.  Bump on ANY change to the
 #: fields below or their encoding; the fleet cache folds this into its
 #: content address, so a bump invalidates every cached row at once.
-RUN_RECORD_SCHEMA_VERSION = 2
+RUN_RECORD_SCHEMA_VERSION = 3
 
 
 class RunRecordSchemaError(ReproError):
@@ -129,8 +136,8 @@ class RunRecord:
             "energy_j": self.energy_j,
             "dynamic_energy_j": self.dynamic_energy_j,
             "busy_us": self.busy_us,
-            "transitions": self.transitions.to_lists(),
-            "busy_intervals": self.busy_intervals.to_lists(),
+            "transitions": self.transitions.to_packed(),
+            "busy_intervals": self.busy_intervals.to_packed(),
             "lags": [
                 {
                     "lag_index": lag.lag_index,
@@ -170,11 +177,8 @@ class RunRecord:
             energy_j=row["energy_j"],
             dynamic_energy_j=row["dynamic_energy_j"],
             busy_us=row["busy_us"],
-            # Wire rows adopt lazily: the warm-cache scan loads hundreds
-            # of rows whose traces are mostly never read, so the
-            # element-wise decode is deferred to first access.
-            transitions=IntPairs.from_lists(row["transitions"]),
-            busy_intervals=IntPairs.from_lists(row["busy_intervals"]),
+            transitions=IntPairs.from_packed(row["transitions"]),
+            busy_intervals=IntPairs.from_packed(row["busy_intervals"]),
             lags=tuple(
                 LagMeasurement(
                     lag_index=lag["lag_index"],

@@ -92,3 +92,36 @@ def test_load_without_saved_row_falls_back_to_recomputation(
     meta_path.write_text(json.dumps(meta), encoding="utf-8")
     loaded = WorkloadArtifacts.load(tmp_path / "ds03")
     assert loaded.classification == artifacts_ds03.classification
+
+
+def test_fingerprint_survives_save_and_load(tmp_path, artifacts_ds03):
+    """Regression: the fingerprint hashes content, not object identity.
+
+    It used to pickle the trace, and pickle memoises by identity: a
+    recorded trace shares one device string across its events, a loaded
+    one does not, so a reloaded workload missed every cached cell."""
+    artifacts_ds03.save(tmp_path / "ds03")
+    loaded = WorkloadArtifacts.load(tmp_path / "ds03")
+    assert loaded.fingerprint() == artifacts_ds03.fingerprint()
+
+
+def test_fingerprint_tracks_annotation_images(artifacts_ds03):
+    from dataclasses import replace
+
+    from repro.analysis.annotation import AnnotationDatabase
+
+    database = artifacts_ds03.database
+    edited = AnnotationDatabase(
+        database.workload_name, database.screen_width, database.screen_height
+    )
+    for gesture in database.gestures:
+        edited.add_gesture(gesture)
+    for index, annotation in enumerate(database.annotations):
+        image = annotation.image.copy()
+        if index == 0:
+            image[0, 0] ^= 1
+        edited.add(replace(annotation, image=image))
+    assert (
+        replace(artifacts_ds03, database=edited).fingerprint()
+        != artifacts_ds03.fingerprint()
+    )

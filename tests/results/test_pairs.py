@@ -1,10 +1,15 @@
-"""IntPairs: array-backed storage, list semantics, lazy wire decode."""
+"""IntPairs: array-backed storage, list semantics, packed wire form."""
 
-import pytest
+import base64
+import zlib
+
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from repro.results.pairs import IntPairs
 
-ROWS = [[0, 300000], [1500, 960000], [9000, 652800]]
+INT64 = st.integers(-(2**63), 2**63 - 1)
+PAIR_LISTS = st.lists(st.tuples(INT64, INT64), max_size=300)
 
 
 def test_reads_like_a_list_of_tuples():
@@ -17,43 +22,30 @@ def test_reads_like_a_list_of_tuples():
     assert IntPairs([(0, 1), (2, 3)]) == pairs
 
 
-def test_from_lists_adopts_rows_without_decoding():
-    pairs = IntPairs.from_lists([list(row) for row in ROWS])
-    # Lazy: the raw wire rows are held, the arrays not yet built.
-    assert pairs._rows is not None
-    assert len(pairs) == len(ROWS)  # length needs no decode
-    assert pairs._rows is not None
-    # to_lists short-circuits straight off the wire form.
-    assert pairs.to_lists() == ROWS
-    assert pairs._rows is not None
-    # First element access materialises once and frees the raw rows.
-    assert pairs[0] == (0, 300000)
-    assert pairs._rows is None
-    assert list(pairs) == [tuple(row) for row in ROWS]
-
-
-def test_lazy_and_eager_forms_are_equal():
-    lazy = IntPairs.from_lists([list(row) for row in ROWS])
-    eager = IntPairs(tuple(row) for row in ROWS)
-    assert lazy == eager
-    assert lazy.to_lists() == eager.to_lists()
-
-
-def test_from_lists_on_non_list_falls_back_to_copy():
-    source = IntPairs([(1, 2)])
-    copied = IntPairs.from_lists(source)
-    assert copied == source
-    assert copied is not source
-
-
-def test_malformed_rows_raise_at_first_access_not_adoption():
-    pairs = IntPairs.from_lists([[1, 2], [3]])
-    with pytest.raises((ValueError, TypeError, IndexError)):
-        pairs[0]
-
-
 def test_from_arrays_round_trip():
     source = IntPairs([(5, 6), (7, 8)])
     rebuilt = IntPairs.from_arrays(source.firsts(), source.seconds())
     assert rebuilt == source
-    assert rebuilt.to_lists() == [[5, 6], [7, 8]]
+    assert rebuilt.tolist() == [(5, 6), (7, 8)]
+
+
+@given(PAIR_LISTS)
+@example([])
+@example([(0, 300_000)])
+@example([(-1, -(2**63)), (2**63 - 1, 0), (0, 2**63 - 1)])
+@example([(t, 300_000 + t % 7) for t in range(0, 50_000_000, 1_000)])
+def test_packed_round_trip(pairs):
+    original = IntPairs(pairs)
+    text = original.to_packed()
+    assert text.isascii()
+    assert IntPairs.from_packed(text) == original
+    assert IntPairs.from_packed(text).tolist() == pairs
+
+
+def test_packed_layout_is_delta_coded_little_endian_firsts_then_seconds():
+    text = IntPairs([(10, 2), (13, 4)]).to_packed()
+    raw = zlib.decompress(base64.b64decode(text))
+    # words 10, 13, 2, 4 -> deltas 10, 3, -11, 2
+    assert raw == b"".join(
+        n.to_bytes(8, "little", signed=True) for n in (10, 3, -11, 2)
+    )

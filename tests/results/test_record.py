@@ -119,3 +119,58 @@ def test_cache_key_depends_on_record_schema_version(tmp_path, monkeypatch):
         cache_mod, "RUN_RECORD_SCHEMA_VERSION", RUN_RECORD_SCHEMA_VERSION + 1
     )
     assert cache.key_for(spec, fingerprint) != key
+
+
+def test_trace_columns_are_packed_strings():
+    row = make_record().to_json_dict()
+    assert isinstance(row["transitions"], str)
+    assert isinstance(row["busy_intervals"], str)
+
+
+def _packed_words(raw: bytes) -> str:
+    import base64
+    import zlib
+
+    return base64.b64encode(zlib.compress(raw)).decode()
+
+
+DAMAGED_COLUMNS = {
+    "bad-base64": "@@@" + _packed_words(b"\0" * 16),
+    "truncated-zlib": _packed_words(b"\0" * 32)[:-8],
+    "odd-word-count": _packed_words(b"\0" * 24),
+    "partial-word": _packed_words(b"\0" * 3),
+}
+
+
+@pytest.mark.parametrize("damage", sorted(DAMAGED_COLUMNS))
+@pytest.mark.parametrize("column", ["transitions", "busy_intervals"])
+def test_cache_miss_on_damaged_packed_column(tmp_path, damage, column):
+    from repro.fleet.cache import ResultCache
+
+    cache = ResultCache(tmp_path)
+    key = "ef" + "0" * 62
+    cache.store(key, make_record())
+    path = cache.path_for(key)
+    row = json.loads(path.read_text(encoding="utf-8"))
+    row[column] = DAMAGED_COLUMNS[damage]
+    path.write_text(json.dumps(row), encoding="utf-8")
+    assert cache.load(key) is None
+    assert (cache.hits, cache.misses) == (0, 1)
+
+
+def test_cache_miss_on_v2_list_row(tmp_path):
+    """A row in the version-2 layout (``[[a, b], ...]`` trace columns)
+    is a miss, not a wrong decode."""
+    from repro.fleet.cache import ResultCache
+
+    cache = ResultCache(tmp_path)
+    key = "fa" + "0" * 62
+    record = make_record()
+    row = record.to_json_dict()
+    row["schema_version"] = 2
+    row["transitions"] = [list(pair) for pair in record.transitions]
+    row["busy_intervals"] = [list(pair) for pair in record.busy_intervals]
+    cache.path_for(key).parent.mkdir(parents=True)
+    cache.path_for(key).write_text(json.dumps(row), encoding="utf-8")
+    assert cache.load(key) is None
+    assert cache.misses == 1
