@@ -36,11 +36,11 @@ DEMAND_SUBDIR = "demand"
 
 def demand_trace_key(artifacts) -> str:
     """Content address of the demand trace for a recorded workload."""
-    from repro.fleet.cache import code_fingerprint, workload_fingerprint
+    from repro.fleet.cache import code_fingerprint
 
     payload = (
         f"demand{DEMAND_TRACE_SCHEMA_VERSION}|"
-        f"{code_fingerprint()}|{workload_fingerprint(artifacts)}"
+        f"{code_fingerprint()}|{artifacts.fingerprint()}"
     )
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 

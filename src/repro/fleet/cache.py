@@ -35,10 +35,14 @@ reusable time and again".  An entry is keyed by (store version, code
 fingerprint, canonical workload name, master seed) — everything
 :func:`~repro.harness.experiment.record_workload` reads — and holds the
 :meth:`WorkloadArtifacts.save <repro.harness.experiment.WorkloadArtifacts.save>`
-layout plus a manifest of its files' SHA-256 digests.  An entry is
-staged in a temporary directory and published with one
-:func:`os.replace`; a missing, corrupt or truncated entry is a miss and
-the workload is recorded again.
+layout plus a manifest of its files' SHA-256 digests and of the
+workload fingerprint.  An entry is staged in a temporary directory and
+published with one :func:`os.replace`; a missing, corrupt or truncated
+entry is a miss and the workload is recorded again.  Opening an entry
+verifies every digest but parses only ``meta.json``: the trace and the
+annotation database are parsed when a replay or capture first needs
+them, and the cache keys use the manifest's fingerprint, so a study
+whose every cell is cached parses and hashes no workload at all.
 """
 
 from __future__ import annotations
@@ -59,7 +63,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from repro.harness.experiment import WorkloadArtifacts
 
 CACHE_VERSION = 2  # v2: RunRecord JSON rows replaced RunResult pickles
-WORKLOAD_STORE_VERSION = 1
+WORKLOAD_STORE_VERSION = 2  # v2: the manifest records the fingerprint
 #: Subdirectory of a result-cache root holding recorded workloads.
 WORKLOADS_SUBDIR = "workloads"
 _MANIFEST = "manifest.json"
@@ -96,7 +100,8 @@ def workload_fingerprint(artifacts: "WorkloadArtifacts") -> str:
     Hashes a canonical serialisation — the getevent text, the annotation
     database's JSON fields, and each annotation image's shape, dtype and
     bytes — so a recorded workload and the same workload saved and
-    loaded back hash identically.
+    loaded back hash identically.  Callers go through
+    :meth:`WorkloadArtifacts.fingerprint`, which memoises this hash.
     """
     database = artifacts.database
     header = json.dumps(
@@ -200,6 +205,15 @@ def workload_store_key(name: str, master_seed: int) -> str:
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
+def _entry_files(entry: Path) -> set[str]:
+    """Paths of the files under ``entry``, relative and ``/``-separated."""
+    return {
+        path.relative_to(entry).as_posix()
+        for path in entry.rglob("*")
+        if path.is_file()
+    }
+
+
 def _sha256_file(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
@@ -225,26 +239,34 @@ class WorkloadStore:
     def load(self, name: str, master_seed: int) -> "WorkloadArtifacts | None":
         """The stored recording, or None (counting a miss).
 
-        Every file the manifest lists must still hash to its recorded
-        digest, so a truncated or damaged entry is never served.
+        The manifest must list exactly the entry's files and each must
+        still hash to its recorded digest, so a truncated or damaged
+        entry is never served.  The returned artifacts parse their trace
+        and database on first access and carry the recorded fingerprint.
         """
         from repro.harness.experiment import WorkloadArtifacts
 
         entry = self.path_for(name, master_seed)
         try:
             manifest = json.loads((entry / _MANIFEST).read_text(encoding="utf-8"))
-            for relative, expected in manifest["files"].items():
+            fingerprint = manifest["fingerprint"]
+            if not isinstance(fingerprint, str) or len(fingerprint) != 64:
+                raise ValueError("manifest has no workload fingerprint")
+            files = manifest["files"]
+            if set(files) != _entry_files(entry) - {_MANIFEST}:
+                raise ValueError("manifest does not list the entry's files")
+            for relative, expected in files.items():
                 if _sha256_file(entry / relative) != expected:
                     raise ValueError(f"{relative} does not match its digest")
-            artifacts = WorkloadArtifacts.load(entry)
+            artifacts = WorkloadArtifacts.load(entry, fingerprint=fingerprint)
             if (artifacts.name, artifacts.recording_master_seed) != (
                 name,
                 master_seed,
             ):
                 raise ValueError("entry records a different workload")
         except Exception:
-            # Missing, truncated, damaged or mis-filed: the workload is
-            # recorded again.
+            # Missing, truncated, damaged, mis-filed or written by an
+            # older store version: the workload is recorded again.
             self.misses += 1
             return None
         self.hits += 1
@@ -258,11 +280,11 @@ class WorkloadStore:
         try:
             artifacts.save(staging)
             files = {
-                path.relative_to(staging).as_posix(): _sha256_file(path)
-                for path in sorted(staging.rglob("*"))
-                if path.is_file()
+                relative: _sha256_file(staging / relative)
+                for relative in sorted(_entry_files(staging))
             }
-            atomic_write_text(staging / _MANIFEST, json.dumps({"files": files}))
+            manifest = {"fingerprint": artifacts.fingerprint(), "files": files}
+            atomic_write_text(staging / _MANIFEST, json.dumps(manifest))
             if entry.exists():
                 # An entry that failed to load: retire it, since a
                 # directory with contents cannot be replaced in one step.

@@ -52,7 +52,7 @@ from statistics import median
 from typing import TYPE_CHECKING, Callable
 
 from repro.core.errors import ReproError
-from repro.fleet.cache import ResultCache, workload_fingerprint
+from repro.fleet.cache import ResultCache
 from repro.fleet.spec import RunSpec
 from repro.results import RunRecord
 
@@ -210,7 +210,6 @@ class FleetEngine:
         self.progress = progress
         self.backend = backend
         self.last_stats = FleetStats()
-        self._fingerprinted: tuple[WorkloadArtifacts, str] | None = None
 
     def run(
         self, artifacts: WorkloadArtifacts, specs: list[RunSpec]
@@ -229,7 +228,7 @@ class FleetEngine:
         pending: list[tuple[int, RunSpec]] = []
 
         if self.cache is not None:
-            fingerprint = self._fingerprint(artifacts)
+            fingerprint = artifacts.fingerprint()
             for index, spec in enumerate(specs):
                 key = self.cache.key_for(spec, fingerprint)
                 keys[index] = key
@@ -293,18 +292,6 @@ class FleetEngine:
             failures.sort(key=lambda f: f.spec.label())
             raise FleetError(failures)
         return [results[index] for index in range(len(specs))]
-
-    def _fingerprint(self, artifacts: WorkloadArtifacts) -> str:
-        """The artifacts' content hash, computed once per artifacts object.
-
-        Hashing serialises the full trace and annotation database;
-        callers that funnel many batches through one engine (the
-        design-space evaluator, multi-rung searches) must not pay that
-        per batch.
-        """
-        if self._fingerprinted is None or self._fingerprinted[0] is not artifacts:
-            self._fingerprinted = (artifacts, workload_fingerprint(artifacts))
-        return self._fingerprinted[1]
 
     def _demand_trace(self, artifacts: WorkloadArtifacts, stats: FleetStats):
         """Resolve the workload's demand trace: cached, captured, or None.

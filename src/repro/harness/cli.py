@@ -258,14 +258,23 @@ class _Workloads:
 
     def __init__(self, cache: ResultCache | None) -> None:
         self.store = WorkloadStore.for_cache(cache)
-        self.loaded = 0
         self.recorded = 0
+        self._loaded: list = []
+
+    @property
+    def loaded(self) -> int:
+        return len(self._loaded)
+
+    @property
+    def parsed(self) -> int:
+        """Loaded workloads whose trace or database was parsed so far."""
+        return sum(1 for artifacts in self._loaded if artifacts.parsed)
 
     def get(self, spec, master_seed: int):
         if self.store is not None:
             artifacts = self.store.load(spec.name, master_seed)
             if artifacts is not None:
-                self.loaded += 1
+                self._loaded.append(artifacts)
                 return artifacts
         artifacts = record_workload(spec, master_seed=master_seed)
         self.recorded += 1
@@ -277,8 +286,9 @@ class _Workloads:
 def _print_cache_summary(cache: ResultCache | None, workloads: _Workloads) -> None:
     """Cache telemetry on stderr — stdout belongs to study results and
     is pinned byte-identical by the integration tests."""
-    print(f"# workloads: {workloads.loaded} loaded, "
-          f"{workloads.recorded} recorded", file=sys.stderr)
+    print(f"# workloads: {workloads.loaded} loaded "
+          f"({workloads.parsed} parsed), {workloads.recorded} recorded",
+          file=sys.stderr)
     if cache is not None:
         print(f"# cache: {cache.hits} hits, {cache.misses} misses "
               f"({cache.root})", file=sys.stderr)
@@ -449,18 +459,22 @@ def _explore_progress(verbose: bool, jsonl_stream=None):
 
 
 def cmd_explore(args) -> int:
+    from repro.scenarios.profiles import frequency_table_for
+
     t0 = time.time()
     seed = _master_seed(args)
     backend, cache = _fleet_backend(args)
     args.dataset = _workload_name(args)  # canonicalised before recording
-    space = builtin_space(args.governor)  # validated before recording
+    spec = dataset(args.dataset)
+    # Validated before recording, over the OPPs of the workload's device.
+    space = builtin_space(args.governor, frequency_table_for(spec))
     strategy = make_strategy(
         args.strategy,
         reps=args.reps,
         irritation_weight=args.irritation_weight,
     )
     workloads = _Workloads(cache)
-    artifacts = workloads.get(dataset(args.dataset), seed)
+    artifacts = workloads.get(spec, seed)
     jsonl = _progress_jsonl(args)
     try:
         evaluator = ExploreEvaluator(

@@ -22,13 +22,14 @@ shape results take across fleet IPC and the result cache.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from pathlib import Path
 
 from repro.analysis import AnnotationDatabase, AutoAnnotator, Matcher, OnlineMatcher
 from repro.analysis.classify import InputClassification, classify_workload
 from repro.apps import install_standard_apps
 from repro.apps.services import BackgroundServices
 from repro.capture import CaptureCard, stream_enabled
-from repro.core.errors import ReproError, WorkloadError
+from repro.core.errors import WorkloadError
 from repro.core.rng import RngStreams
 from repro.core.simtime import seconds
 from repro.device.device import Device, DeviceConfig
@@ -67,16 +68,72 @@ def _build_device(
     return device, wm, services
 
 
-@dataclass(slots=True)
+class _StoredPart:
+    """A :class:`WorkloadArtifacts` field a loaded workload parses on first read.
+
+    Artifacts built in memory hold the value itself.  Artifacts from
+    :meth:`WorkloadArtifacts.load` hold None until the first read, which
+    parses ``filename`` under the saved directory with ``parse``.
+    """
+
+    def __init__(self, filename: str, parse) -> None:
+        self.filename = filename
+        self.parse = parse
+
+    def __set_name__(self, owner, name: str) -> None:
+        self.name = name
+        self.slot = f"_{name}"
+
+    def __get__(self, instance, owner=None):
+        if instance is None:
+            # No class-level value: the dataclass field stays required.
+            raise AttributeError(self.name)
+        value = instance.__dict__[self.slot]
+        if value is None and instance._source is not None:
+            path = instance._source / self.filename
+            try:
+                value = self.parse(path)
+            except Exception as exc:
+                raise WorkloadError(
+                    f"workload {instance.name!r} saved at {instance._source}: "
+                    f"{self.filename} does not parse "
+                    f"({type(exc).__name__}: {exc})"
+                ) from exc
+            instance.__dict__[self.slot] = value
+        return value
+
+    def __set__(self, instance, value) -> None:
+        instance.__dict__[self.slot] = value
+
+
+@dataclass
 class WorkloadArtifacts:
-    """Everything needed to replay and evaluate a recorded workload."""
+    """Everything needed to replay and evaluate a recorded workload.
+
+    ``trace`` and ``database`` of artifacts read back by :meth:`load`
+    are parsed from disk on first access, so a run whose every cell is
+    cached never parses them.
+    """
 
     spec: DatasetSpec
-    trace: EventTrace
-    database: AnnotationDatabase
+    # The parsers are looked up at parse time, not bound here.
+    trace: EventTrace = _StoredPart(
+        "trace.getevent", lambda path: EventTrace.load(path)
+    )
+    database: AnnotationDatabase = _StoredPart(
+        "annotations", lambda path: AnnotationDatabase.load(path)
+    )
     duration_us: int
     classification: InputClassification
     recording_master_seed: int
+    #: Directory a loaded workload parses its parts from (None in memory).
+    _source: Path | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
+    #: Memo of :meth:`fingerprint`.
+    _fingerprint: str | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     @property
     def name(self) -> str:
@@ -86,11 +143,38 @@ class WorkloadArtifacts:
     def input_count(self) -> int:
         return len(self.database.gestures)
 
-    def fingerprint(self) -> str:
-        """Content hash of the replay-relevant state (fleet cache key part)."""
-        from repro.fleet.cache import workload_fingerprint
+    @property
+    def parsed(self) -> bool:
+        """Whether any part was parsed from disk (always True in memory)."""
+        return (
+            self._source is None
+            or self._trace is not None
+            or self._database is not None
+        )
 
-        return workload_fingerprint(self)
+    def fingerprint(self) -> str:
+        """Content hash of the replay-relevant state (fleet cache key part).
+
+        Hashed once per object: the workload store, the fleet engine and
+        the demand-trace key all read the memo.  A loaded workload
+        carries the fingerprint its entry recorded, so it is never
+        hashed at all.
+        """
+        if self._fingerprint is None:
+            from repro.fleet.cache import workload_fingerprint
+
+            self._fingerprint = workload_fingerprint(self)
+        return self._fingerprint
+
+    def __getstate__(self) -> dict:
+        # A copy shipped to a worker process carries the parsed parts,
+        # never a directory to parse again.
+        return dict(
+            self.__dict__,
+            _trace=self.trace,
+            _database=self.database,
+            _source=None,
+        )
 
     def save(self, directory) -> None:
         """Persist trace + annotation database + metadata to a directory.
@@ -99,7 +183,6 @@ class WorkloadArtifacts:
         will be reusable time and again".
         """
         import json
-        from pathlib import Path
 
         directory = Path(directory)
         directory.mkdir(parents=True, exist_ok=True)
@@ -117,60 +200,62 @@ class WorkloadArtifacts:
 
     @classmethod
     def load(
-        cls, directory, verify_classification: bool = False
+        cls,
+        directory,
+        verify_classification: bool = False,
+        fingerprint: str | None = None,
     ) -> "WorkloadArtifacts":
-        """Load artifacts previously written by :meth:`save`.
+        """Open artifacts previously written by :meth:`save`.
 
-        The classification row is read straight from ``meta.json`` —
-        re-running the full gesture decode over the trace on every load
-        is wasted work the recording already paid for.  Pass
-        ``verify_classification=True`` to recompute it anyway and fail
-        loudly if the saved row no longer matches (e.g. the classifier
-        changed since the artifacts were written).
+        Only ``meta.json`` is read here; the trace and the annotation
+        database are parsed on first access.  The classification row is
+        read straight from ``meta.json`` — re-running the full gesture
+        decode over the trace on every load is wasted work the recording
+        already paid for.  Pass ``verify_classification=True`` to
+        recompute it anyway and fail loudly if the saved row no longer
+        matches (e.g. the classifier changed since the artifacts were
+        written).  ``fingerprint``, when given, is the workload
+        fingerprint recorded for this directory and is served as the memo.
         """
         import json
-        from pathlib import Path
 
         from repro.workloads.datasets import dataset as dataset_lookup
 
         directory = Path(directory)
         meta = json.loads((directory / "meta.json").read_text(encoding="utf-8"))
-        trace = EventTrace.load(directory / "trace.getevent")
-        database = AnnotationDatabase.load(directory / "annotations")
-        spec = dataset_lookup(meta["dataset"])
-        saved_row = meta.get("classification")
-        if saved_row is None or verify_classification:
-            recomputed = classify_workload(meta["dataset"], trace, database)
-        if saved_row is None:
-            classification = recomputed
-        else:
-            classification = InputClassification(
-                dataset=saved_row["dataset"],
-                taps=saved_row["taps"],
-                swipes=saved_row["swipes"],
-                actual_lags=saved_row["actual_lags"],
-                spurious_lags=saved_row["spurious_lags"],
-            )
-            if verify_classification and classification != recomputed:
-                raise WorkloadError(
-                    f"saved classification of {meta['dataset']!r} "
-                    f"({classification.as_row()}) does not match "
-                    f"recomputation ({recomputed.as_row()}); re-record or "
-                    "re-save the artifacts"
-                )
-        return cls(
-            spec=spec,
-            trace=trace,
-            database=database,
+        artifacts = cls(
+            spec=dataset_lookup(meta["dataset"]),
+            trace=None,
+            database=None,
             duration_us=meta["duration_us"],
-            classification=classification,
+            classification=None,
             recording_master_seed=meta["recording_master_seed"],
         )
-
-
-# The typed run artifact now lives in repro.results; the old name stays
-# importable for callers written against the pre-streaming API.
-RunResult = RunRecord
+        artifacts._source = directory
+        artifacts._fingerprint = fingerprint
+        saved_row = meta.get("classification")
+        if saved_row is None or verify_classification:
+            recomputed = classify_workload(
+                meta["dataset"], artifacts.trace, artifacts.database
+            )
+        if saved_row is None:
+            artifacts.classification = recomputed
+            return artifacts
+        artifacts.classification = InputClassification(
+            dataset=saved_row["dataset"],
+            taps=saved_row["taps"],
+            swipes=saved_row["swipes"],
+            actual_lags=saved_row["actual_lags"],
+            spurious_lags=saved_row["spurious_lags"],
+        )
+        if verify_classification and artifacts.classification != recomputed:
+            raise WorkloadError(
+                f"saved classification of {meta['dataset']!r} "
+                f"({artifacts.classification.as_row()}) does not match "
+                f"recomputation ({recomputed.as_row()}); re-record or "
+                "re-save the artifacts"
+            )
+        return artifacts
 
 
 def record_workload(
@@ -203,8 +288,9 @@ def record_workload(
     # lifts, so the wait must cover in-flight contacts too or the video
     # gets cut before the final interaction has even begun.
     def _recording_pending() -> bool:
-        return device.touchscreen.contact_active or any(
-            not r.complete for r in wm.journal.interactions
+        return (
+            device.touchscreen.contact_active
+            or wm.journal.open_interactions > 0
         )
 
     waited = 0
@@ -243,7 +329,6 @@ def replay_run(
     master_seed: int = DEFAULT_MASTER_SEED,
     device_config: DeviceConfig | None = None,
     frame_tap=None,
-    on_video=None,
     **governor_tunables,
 ) -> RunRecord:
     """Replay a recorded workload under a configuration (part B).
@@ -262,13 +347,6 @@ def replay_run(
     subscribed to the capture — the golden-equivalence tests digest the
     frame journal through one without forcing video materialisation.
     """
-    if on_video is not None:
-        raise ReproError(
-            "replay_run(on_video=...) was removed by the streaming run "
-            "pipeline: no Video is materialised on the default path. "
-            "Pass frame_tap=<FrameTap> to observe the capture's segment "
-            "stream instead (identical in streaming and batch modes)."
-        )
     # Observability: an externally installed session (the ``trace``
     # command, tests) is used as-is; otherwise REPRO_TRACE=1 installs a
     # per-run metrics + flight-recorder session for this replay only.

@@ -14,7 +14,11 @@ complete workload."
 from __future__ import annotations
 
 import bisect
+from array import array
 from dataclasses import dataclass
+from itertools import accumulate
+
+import numpy as np
 
 from repro.core.errors import ReproError
 from repro.analysis.lagprofile import LagProfile
@@ -39,33 +43,33 @@ class BusyTimeline:
     device accumulators' compact :class:`~repro.results.IntPairs` — and
     stores starts, ends and the prefix sum as ``array('q')`` buffers, so
     a day-long run's half-million intervals cost 24 bytes each instead
-    of three boxed-int lists.
+    of three boxed-int lists.  Validation and the prefix sum run in
+    numpy, with no per-interval Python work.
     """
 
     def __init__(self, intervals) -> None:
-        from array import array
-
         from repro.results.pairs import IntPairs
 
-        if isinstance(intervals, IntPairs):
-            starts = array("q", intervals.firsts())
-            ends = array("q", intervals.seconds())
-        else:
-            starts = array("q", (s for s, _ in intervals))
-            ends = array("q", (e for _, e in intervals))
-        prefix = array("q", [0]) * (len(starts) + 1)
-        last_end = -1
-        total = 0
-        for index in range(len(starts)):
-            start = starts[index]
-            end = ends[index]
+        if not isinstance(intervals, IntPairs):
+            intervals = IntPairs(intervals)
+        starts = intervals.firsts()
+        ends = intervals.seconds()
+        start_words = np.frombuffer(starts, np.int64)
+        end_words = np.frombuffer(ends, np.int64)
+        lengths = end_words - start_words
+        # Each interval must start no earlier than the previous one ends
+        # (the first one at -1 or later).  The first bad interval is
+        # reported, as inverted if it is both inverted and overlapping.
+        previous_ends = np.concatenate(([-1], end_words[:-1]))
+        bad = np.flatnonzero((lengths < 0) | (start_words < previous_ends))
+        if len(bad):
+            index = int(bad[0])
+            start, end = starts[index], ends[index]
             if end < start:
                 raise ReproError(f"busy interval ({start}, {end}) is inverted")
-            if start < last_end:
-                raise ReproError("busy intervals overlap or are unsorted")
-            last_end = end
-            total += end - start
-            prefix[index + 1] = total
+            raise ReproError("busy intervals overlap or are unsorted")
+        prefix = array("q", [0])
+        prefix.frombytes(np.cumsum(lengths, dtype=np.int64).tobytes())
         self._starts = starts
         self._ends = ends
         self._prefix = prefix
@@ -255,6 +259,11 @@ def _compose_energy(
     frequency lag segments, and counting it twice would inflate the
     oracle (the base run services lags slower than the chosen runs do).
     """
+    windows = sorted(base_lag_windows)
+    window_starts = [start for start, _ in windows]
+    # Running maximum of the window ends: windows before the first index
+    # whose running end exceeds a segment's start all end before it.
+    window_reach = list(accumulate((end for _, end in windows), max))
     energy = 0.0
     idle_w = power_model.idle_power()
     for segment in profile.segments:
@@ -262,7 +271,9 @@ def _compose_energy(
         timeline = fixed_busy[segment.freq_khz]
         busy_us = timeline.busy_in(segment.start_us, segment.end_us)
         if segment.freq_khz == base_khz:
-            for lag_start, lag_end in base_lag_windows:
+            first = bisect.bisect_right(window_reach, segment.start_us)
+            stop = bisect.bisect_left(window_starts, segment.end_us)
+            for lag_start, lag_end in windows[first:stop]:
                 lo = max(segment.start_us, lag_start)
                 hi = min(segment.end_us, lag_end)
                 if hi > lo:

@@ -72,6 +72,7 @@ class InteractionToken:
                 f"interaction {self._record.label!r} completed twice"
             )
         self._closed = True
+        self._journal.open_interactions -= 1
         self._record.end_time = now
         self._record.mask_rects = self._journal.capture_mask()
         if self._journal.completion_listener is not None:
@@ -84,6 +85,8 @@ class GroundTruthJournal:
     def __init__(self) -> None:
         self.gestures: list[GestureNote] = []
         self.interactions: list[InteractionRecord] = []
+        #: interactions opened and not yet completed.
+        self.open_interactions = 0
         self._current_gesture: GestureNote | None = None
         #: set by the window manager; returns the dynamic-region rects.
         self.mask_provider = None
@@ -126,12 +129,14 @@ class GroundTruthJournal:
                 f"interaction {label!r} opened outside gesture dispatch"
             )
         gesture_index = self._current_gesture.index
-        for existing in reversed(self.interactions):
-            if existing.gesture_index == gesture_index:
-                raise SimulationError(
-                    f"gesture {gesture_index} already has an interaction "
-                    f"({existing.label!r})"
-                )
+        # Interactions open in gesture order, so only the last one can
+        # belong to the gesture being dispatched.
+        last = self.interactions[-1] if self.interactions else None
+        if last is not None and last.gesture_index == gesture_index:
+            raise SimulationError(
+                f"gesture {gesture_index} already has an interaction "
+                f"({last.label!r})"
+            )
         record = InteractionRecord(
             gesture_index=gesture_index,
             label=label,
@@ -139,6 +144,7 @@ class GroundTruthJournal:
             begin_time=begin_time,
         )
         self.interactions.append(record)
+        self.open_interactions += 1
         return InteractionToken(self, record)
 
     # --- queries -------------------------------------------------------------------

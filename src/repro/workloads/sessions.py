@@ -129,8 +129,7 @@ class ScriptedUser:
             self._engine.schedule_after(POLL_PERIOD_US, self._watch)
 
     def _system_settled(self) -> bool:
-        journal = self._wm.journal
-        if any(not r.complete for r in journal.interactions):
+        if self._wm.journal.open_interactions:
             return False
         scheduler = self._device.scheduler
         current = scheduler.current_task
@@ -143,22 +142,3 @@ class ScriptedUser:
         self._finished = True
         if self._on_finished is not None:
             self._on_finished()
-
-
-def wait_for_quiescence(wm: WindowManager, callback, poll_us: int = POLL_PERIOD_US):
-    """Fire ``callback`` once all interactions completed and FG work drained.
-
-    Used by the harness to trim the recording after the user's last input.
-    """
-
-    def check() -> None:
-        journal = wm.journal
-        pending = any(not r.complete for r in journal.interactions)
-        current = wm.device.scheduler.current_task
-        foreground_busy = current is not None and current.priority == 0
-        if pending or foreground_busy:
-            wm.engine.schedule_after(poll_us, check)
-        else:
-            callback()
-
-    check()

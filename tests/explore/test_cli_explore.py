@@ -103,3 +103,28 @@ def test_sweep_rejects_bad_configs_before_running(capsys, config, message):
     assert rc == 2
     assert message in err
     assert err.count("\n") == 1  # one clean line
+
+def test_explore_on_an_opp_subset_profile_samples_only_its_opps(capsys):
+    """Regression: the space came from the stock table whatever the
+    scenario's profile, so most sampled boosts were not OPPs of it."""
+    import re
+
+    from repro.scenarios.profiles import device_profile
+
+    rc, _out, err = run_cli(
+        capsys,
+        "explore",
+        "--scenario", "persona=messenger,seed=3,duration=45s,profile=quad_ls",
+        "--governor", "qoe_aware",
+        "--strategy", "random",
+        "--budget", "6",
+        "--reps", "1",
+        "--jobs", "1",
+        "--no-cache",
+        "--no-baselines",
+        "--verbose",
+    )
+    assert rc == 0
+    boosts = {int(khz) for khz in re.findall(r"boost=(\d+)", err)}
+    opps = set(device_profile("quad_ls").frequency_table().frequencies_khz)
+    assert boosts and boosts <= opps

@@ -9,6 +9,7 @@ from repro.analysis.lagprofile import LagMeasurement, LagProfile
 from repro.device.frequencies import snapdragon_8074_table
 from repro.device.power import PowerModel
 from repro.oracle.builder import BusyTimeline, build_oracle
+from repro.results.pairs import IntPairs
 
 
 class TestBusyTimeline:
@@ -62,6 +63,100 @@ class TestBusyTimeline:
             max(0, min(end, hi) - max(start, lo)) for start, end in intervals
         )
         assert timeline.busy_in(lo, hi) == naive
+
+
+def reference_prefix(intervals):
+    """The per-interval loop BusyTimeline used to run: (prefix, first error)."""
+    prefix = [0]
+    last_end = -1
+    for start, end in intervals:
+        if end < start:
+            return prefix, f"busy interval ({start}, {end}) is inverted"
+        if start < last_end:
+            return prefix, "busy intervals overlap or are unsorted"
+        last_end = end
+        prefix.append(prefix[-1] + end - start)
+    return prefix, None
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(
+        st.tuples(st.integers(-50, 400), st.integers(-60, 60)), max_size=12
+    ),
+    st.data(),
+)
+def test_timeline_matches_the_per_interval_loop(raw, data):
+    # Mostly sorted intervals from (gap, length) pairs; negative gaps and
+    # lengths make overlapping and inverted ones.
+    intervals = []
+    cursor = 0
+    for gap, length in raw:
+        start = cursor + gap
+        intervals.append((start, start + length))
+        cursor = max(cursor, start + length)
+    prefix, error = reference_prefix(intervals)
+    if error is not None:
+        with pytest.raises(ReproError) as raised:
+            BusyTimeline(intervals)
+        assert str(raised.value) == error
+        return
+    timeline = BusyTimeline(intervals)
+    assert list(timeline._prefix) == prefix
+    assert timeline.total_busy_us == prefix[-1]
+    assert timeline == BusyTimeline(IntPairs(intervals))
+    lo = data.draw(st.integers(-100, 800))
+    hi = data.draw(st.integers(-100, 800))
+    naive = sum(max(0, min(end, hi) - max(start, lo)) for start, end in intervals)
+    assert timeline.busy_in(lo, hi) == (naive if hi > lo else 0)
+
+
+def reference_compose_energy(
+    profile, fixed_busy, table, power_model, base_khz, base_lag_windows
+):
+    """The energy integral as it was: every segment against every window."""
+    energy = 0.0
+    idle_w = power_model.idle_power()
+    for segment in profile.segments:
+        point = table.point(segment.freq_khz)
+        timeline = fixed_busy[segment.freq_khz]
+        busy_us = timeline.busy_in(segment.start_us, segment.end_us)
+        if segment.freq_khz == base_khz:
+            for lag_start, lag_end in base_lag_windows:
+                lo = max(segment.start_us, lag_start)
+                hi = min(segment.end_us, lag_end)
+                if hi > lo:
+                    busy_us -= timeline.busy_in(lo, hi)
+            busy_us = max(0, busy_us)
+        dynamic_w = power_model.active_power(point.freq_khz, point.volts) - idle_w
+        energy += busy_us * dynamic_w / 1e6
+    return energy
+
+
+def test_compose_energy_is_bit_identical_on_real_rows(artifacts_ds03):
+    from repro.harness.sweep import run_sweep
+    from repro.oracle.builder import _compose_energy
+
+    sweep = run_sweep(artifacts_ds03, reps=1)
+    oracle = sweep.oracle
+    fixed_busy = {
+        khz: sweep.runs[f"fixed:{khz}"][0].busy_timeline
+        for khz in sweep.table.frequencies_khz
+    }
+    base_windows = [
+        (lag.begin_time_us, lag.begin_time_us + lag.duration_us)
+        for lag in sweep.runs[f"fixed:{oracle.base_khz}"][0].lag_profile.lags
+    ]
+    args = (
+        oracle.profile, fixed_busy, sweep.table, PowerModel(),
+        oracle.base_khz, base_windows,
+    )
+    expected = reference_compose_energy(*args)
+    assert _compose_energy(*args) == expected
+    assert oracle.energy_j == expected
+    # Unsorted windows select the same ones.
+    shuffled = args[:-1] + (base_windows[::-1],)
+    assert _compose_energy(*shuffled) == expected
 
 
 def make_fixed_inputs(lag_work_cycles, duration_us=60_000_000):
