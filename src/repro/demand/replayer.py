@@ -25,6 +25,17 @@ gesture decoding and UI composition are replaced by a
 * background services run **live** with the same per-cell RNG stream a
   full replay would use — they are response-side noise, not demand.
 
+The trace is immutable, so :class:`DemandProgram` lowers it once per
+worker into fused **action tuples**: one tuple per node carrying an
+integer opcode, the node's verbatim payloads and its children as a
+prebuilt list of the child tuples, plus the root lists of the setup
+phase and of each input ordinal.  :class:`DemandExecutor` iterates
+those lists directly — evaluating a node is tuple indexing off one
+iteration variable, with no dataclass attribute loads, no dict probes
+and no per-node closures — and builds tasks without ``Task.__init__``'s
+payload checks, which :meth:`DemandTrace.validate` makes once per trace
+instead.
+
 The governor→timing feedback loop is handled by the trace's guards: the
 scripted user only gestures at foreground quiescence, and the capture
 runs at the pinned *minimum* frequency, so every config completes
@@ -43,25 +54,16 @@ blink) from capture time, none of which can move a match time.
 
 from __future__ import annotations
 
+import sys
 import zlib
 from functools import partial
 
 import numpy as np
 
 from repro.core.errors import MatchError, ReproError
-from repro.demand.compile import (
-    OP_CHAIN_START,
-    OP_INVALIDATE,
-    OP_TASK,
-    OP_TIMER,
-    CompiledDemand,
-    compile_trace,
-    demand_compile_enabled,
-)
 from repro.demand.tablematch import BLANK_STATE, ShadowStreamer, TableMatcher
 from repro.demand.trace import (
     KIND_CHAIN_START,
-    KIND_CHAIN_STOP,
     KIND_INVALIDATE,
     KIND_TASK,
     KIND_TIMER,
@@ -70,6 +72,13 @@ from repro.demand.trace import (
 )
 from repro.kernel.task import PRIORITY_FOREGROUND, Task, _task_ids
 from repro.kernel.workchains import PeriodicWorkChain
+
+#: Opcodes of the action tuples, one per node kind.
+OP_TASK = 0
+OP_TIMER = 1
+OP_INVALIDATE = 2
+OP_CHAIN_START = 3
+OP_CHAIN_STOP = 4
 
 
 class DemandFallback(ReproError):
@@ -84,22 +93,81 @@ class DemandFallback(ReproError):
         self.reason = reason
 
 
+def _action(node: DemandNode, children: list | None) -> tuple:
+    """The action tuple of one node; ``children`` is its (shared) child list.
+
+    Payloads are the recorded values verbatim, so the scheduler sees
+    bit-identical task parameters.  A task's cycles are pre-floated:
+    ``Task`` stores ``float(cycles)``, and ``float`` of a float is the
+    identity.
+    """
+    kind = node.kind
+    if kind == KIND_TASK:
+        # (op, node_id, name, cycles, priority, children)
+        return (
+            OP_TASK,
+            node.node_id,
+            sys.intern(node.name),
+            float(node.cycles),
+            node.priority,
+            children,
+        )
+    if kind == KIND_INVALIDATE:
+        return (OP_INVALIDATE, node.state_id)
+    if kind == KIND_TIMER:
+        return (OP_TIMER, node.delay_us, children)
+    if kind == KIND_CHAIN_START:
+        # (op, chain_key, name, period_us, cycles, priority)
+        return (
+            OP_CHAIN_START,
+            node.chain_key,
+            sys.intern(node.name),
+            node.period_us,
+            node.cycles,
+            node.priority,
+        )
+    return (OP_CHAIN_STOP, node.chain_key)
+
+
 class DemandProgram:
     """A demand trace preprocessed for repeated evaluation.
 
-    Sweeping N cells over one trace repeats per-cell setup work — child
-    indexing, match-set construction, state decompression — that depends
-    only on the trace.  A fleet worker builds one program per trace and
-    evaluates every assigned cell against it.
+    Sweeping N cells over one trace repeats per-cell setup work — the
+    lowering to action tuples, match-set construction, state
+    decompression — that depends only on the trace.  A fleet worker
+    builds one program per trace and evaluates every assigned cell
+    against it.
+
+    ``setup_actions`` is the setup phase's action list,
+    ``input_actions[k]`` input ordinal *k*'s (``None`` when it has no
+    demand) and ``guards[k]`` its recorded guard, ``()`` when unguarded.
+    Every list keeps the capture's callback order, exactly as
+    :meth:`~repro.demand.trace.DemandTrace.children_by_parent` returns it.
     """
 
     def __init__(self, trace: DemandTrace) -> None:
         self.trace = trace
         setup, by_input, by_node = trace.children_by_parent()
-        self.setup = setup
-        self.by_input = by_input
-        self.children: list = [
-            by_node.get(node_id) for node_id in range(len(trace.nodes))
+        # Child lists are created empty first so a parent's tuple can
+        # hold its list before the children's own tuples exist; a
+        # childless node carries ``None``.
+        child_lists = {node_id: [] for node_id in by_node}
+        actions = [
+            _action(node, child_lists.get(node.node_id)) for node in trace.nodes
+        ]
+        for node_id, children in by_node.items():
+            child_lists[node_id].extend(
+                actions[child.node_id] for child in children
+            )
+        self.setup_actions = [actions[node.node_id] for node in setup]
+        self.input_actions: list[list | None] = [
+            [actions[node.node_id] for node in by_input[ordinal]]
+            if ordinal in by_input
+            else None
+            for ordinal in range(trace.input_events)
+        ]
+        self.guards = [
+            trace.guards.get(ordinal, ()) for ordinal in range(trace.input_events)
         ]
         self.match_sets: list[frozenset[int]] | None = None
         if trace.match_states is not None:
@@ -110,13 +178,6 @@ class DemandProgram:
                 for index, states in enumerate(trace.match_states)
             ]
         self._states: list | None = None
-        self._compiled: CompiledDemand | None = None
-
-    def compiled(self) -> CompiledDemand:
-        """The trace's flat-array form (lowered once, shared by cells)."""
-        if self._compiled is None:
-            self._compiled = compile_trace(self.trace)
-        return self._compiled
 
     def states(self) -> list:
         """Decompressed framebuffer states (pixel path only, lazy)."""
@@ -132,138 +193,15 @@ class DemandProgram:
         return self._states
 
 
-class _DemandExecutor:
-    """Walks a demand trace over a live device kernel.
-
-    With ``pixels=False`` (the default sweep path) invalidates only
-    track the current interned state id — no state is decompressed and
-    nothing is painted; the caller derives the lag profile from the
-    trace's match table.  With ``pixels=True`` the executor installs a
-    composer that repaints the interned states, so a capture card sees
-    real frames.
-    """
-
-    def __init__(self, device, program: DemandProgram, pixels: bool) -> None:
-        self._engine = device.engine
-        self._scheduler = device.scheduler
-        self._display = device.display
-        self._setup = program.setup
-        self._by_input = program.by_input
-        self._children = program.children
-        self._guards = program.trace.guards
-        self._pixels = pixels
-        self._states: list | None = None
-        self._frame = None
-        if pixels:
-            self._states = program.states()
-            device.display.set_composer(self._paint)
-        #: Interned state id the screen would show (BLANK_STATE at boot).
-        self.current_state = BLANK_STATE
-        self._chains: dict[int, PeriodicWorkChain] = {}
-        self._fg_inflight: set[int] = set()
-        self._next_ordinal = 0
-
-    # --- composition -------------------------------------------------------------
-
-    def _paint(self, framebuffer) -> None:
-        if self._frame is not None:
-            framebuffer[:] = self._frame
-
-    # --- trace walking -----------------------------------------------------------
-
-    def run_setup(self) -> None:
-        """Execute the app-installation phase (engine time 0)."""
-        self._run_children(self._setup)
-
-    def on_input(self, event) -> None:
-        """Input-node observer: check the guard, run the ordinal's demand."""
-        ordinal = self._next_ordinal
-        self._next_ordinal = ordinal + 1
-        expected = self._guards.get(ordinal, ())
-        actual = tuple(sorted(self._fg_inflight))
-        if actual != expected:
-            raise DemandFallback(
-                f"input {ordinal} at t={self._engine.now}: foreground tasks "
-                f"in flight {list(actual)} != recorded {list(expected)} — "
-                "this config perturbs recorded think-time boundaries",
-                reason="guard_mismatch",
-            )
-        children = self._by_input.get(ordinal)
-        if children:
-            self._run_children(children)
-
-    def _run_children(self, nodes: list[DemandNode]) -> None:
-        for node in nodes:
-            self._execute(node)
-
-    def _execute(self, node: DemandNode) -> None:
-        kind = node.kind
-        if kind == KIND_TASK:
-            node_id = node.node_id
-            foreground = node.priority == PRIORITY_FOREGROUND
-            if foreground:
-                self._fg_inflight.add(node_id)
-            children = self._children[node_id]
-
-            def completed(
-                _task, node_id=node_id, foreground=foreground, children=children
-            ) -> None:
-                if foreground:
-                    self._fg_inflight.discard(node_id)
-                if children:
-                    self._run_children(children)
-
-            self._scheduler.submit(
-                Task(
-                    node.name,
-                    node.cycles,
-                    priority=node.priority,
-                    on_complete=completed,
-                )
-            )
-        elif kind == KIND_INVALIDATE:
-            self.current_state = node.state_id
-            if self._pixels:
-                self._frame = self._states[node.state_id]
-            self._display.invalidate()
-        elif kind == KIND_TIMER:
-            children = self._children[node.node_id]
-            # A childless timer produced no recorded demand; skipping it
-            # is invisible to the kernel.
-            if children:
-                self._engine.schedule_after(
-                    node.delay_us,
-                    lambda children=children: self._run_children(children),
-                )
-        elif kind == KIND_CHAIN_START:
-            chain = self._chains.get(node.chain_key)
-            if chain is None:
-                chain = PeriodicWorkChain(
-                    self._engine,
-                    self._scheduler,
-                    node.name,
-                    node.period_us,
-                    node.cycles,
-                    priority=node.priority,
-                )
-                self._chains[node.chain_key] = chain
-            chain.start()
-        elif kind == KIND_CHAIN_STOP:
-            chain = self._chains.get(node.chain_key)
-            if chain is not None:
-                chain.stop()
-
-
 class _DemandTask(Task):
-    """A compiled task node's live submission.
+    """A task node's live submission.
 
-    Carries its compiled action tuple so one shared completion callback
-    can find the node id, priority and child list — the interpreter
-    allocates a fresh closure per task submission instead.  The direct
-    ``__init__`` skips ``Task.__init__``'s keyword parsing and payload
-    validation: compiled payloads are pre-floated and trace-validated
-    (see :func:`~repro.demand.compile.compile_trace`), and the shared
-    task-id counter keeps ids in step with the interpreter's.
+    Carries its action tuple so one shared completion callback can find
+    the node id, priority and child list.  The direct ``__init__`` skips
+    ``Task.__init__``'s keyword parsing and payload validation: the
+    payloads are pre-floated and trace-validated
+    (:meth:`~repro.demand.trace.DemandTrace.validate`).  Ids come from
+    the shared task-id counter, as every ``Task``'s do.
     """
 
     __slots__ = ("action",)
@@ -283,20 +221,17 @@ class _DemandTask(Task):
         self.action = action
 
 
-class _CompiledExecutor:
-    """Walks the compiled flat-array form of a demand trace.
+class DemandExecutor:
+    """Walks a :class:`DemandProgram`'s action lists over a live kernel.
 
-    Semantically identical to :class:`_DemandExecutor` — both issue the
-    same scheduler submissions and engine timers in the same order, so
-    the engine's deterministic event sequence (and therefore the emitted
-    :class:`~repro.results.RunRecord`) is bit-identical.  The difference
-    is purely mechanical: every node resolves to a precomputed action
-    tuple carrying the opcode, the verbatim payloads and the node's
-    children as a preallocated list of the child tuples
-    (:class:`~repro.demand.compile.CompiledDemand`), task completions
-    share one bound method instead of a per-task closure, and timers
-    re-arm a :func:`functools.partial` over the prebuilt child list
-    instead of a fresh lambda.
+    With ``pixels=False`` (the default sweep path) invalidates only
+    track the current interned state id — no state is decompressed and
+    nothing is painted; the caller derives the lag profile from the
+    trace's match table.  With ``pixels=True`` the executor installs a
+    composer that repaints the interned states, so a capture card sees
+    real frames.  Task completions share one bound method and timers
+    re-arm a :func:`functools.partial` over the prebuilt child list, so
+    the walk allocates no closure per node.
     """
 
     __slots__ = (
@@ -318,7 +253,6 @@ class _CompiledExecutor:
     )
 
     def __init__(self, device, program: DemandProgram, pixels: bool) -> None:
-        compiled = program.compiled()
         self._engine = device.engine
         self._scheduler = device.scheduler
         # Bound-method interning: the inner loop calls these thousands
@@ -326,9 +260,9 @@ class _CompiledExecutor:
         self._schedule_after = device.engine.schedule_after
         self._submit = device.scheduler.submit
         self._invalidate = device.display.invalidate
-        self._setup_actions = compiled.setup_actions
-        self._input_actions = compiled.input_actions
-        self._guards = compiled.guards
+        self._setup_actions = program.setup_actions
+        self._input_actions = program.input_actions
+        self._guards = program.guards
         self._pixels = pixels
         self._states: list | None = None
         self._frame = None
@@ -384,7 +318,7 @@ class _CompiledExecutor:
             self._run_list(children)
 
     def _run_list(self, actions: list) -> None:
-        """Execute one prebuilt action list — the compiled inner loop."""
+        """Execute one prebuilt action list — the walk's inner loop."""
         for action in actions:
             op = action[0]
             if op == OP_TASK:
@@ -430,17 +364,6 @@ class _CompiledExecutor:
                     chain.stop()
 
 
-def make_executor(device, program: DemandProgram, pixels: bool = False):
-    """The executor :func:`demand_replay_run` would use right now.
-
-    Selected per call from ``REPRO_DEMAND_COMPILE``: the compiled
-    flat-array walk by default, the node-object interpreter under the
-    ``=0`` kill switch.  Exposed for the perf harness and A/B tests.
-    """
-    cls = _CompiledExecutor if demand_compile_enabled() else _DemandExecutor
-    return cls(device, program, pixels)
-
-
 def demand_replay_run(
     artifacts,
     trace: DemandTrace | DemandProgram,
@@ -458,10 +381,7 @@ def demand_replay_run(
     :class:`~repro.results.RunRecord` shape including the observability
     harvest.  Raises :class:`DemandFallback` when the cell needs a full
     replay.  ``trace`` may be a prebuilt :class:`DemandProgram` to share
-    preprocessing across a sweep's cells.  The trace walk itself runs
-    the compiled flat-array executor unless ``REPRO_DEMAND_COMPILE=0``
-    selects the node-object interpreter; the emitted record is
-    bit-identical either way.
+    preprocessing across a sweep's cells.
     """
     from repro.analysis import Matcher, OnlineMatcher
     from repro.apps.services import BackgroundServices
@@ -496,7 +416,7 @@ def demand_replay_run(
         # frame tap needs real frames, so it forces the pixel path.
         pixels = frame_tap is not None or program.match_sets is None
         device = Device(device_config)
-        executor = make_executor(device, program, pixels)
+        executor = DemandExecutor(device, program, pixels)
         # Same observer order as a full replay: the window manager's
         # decoder registers before the governor's input boost; here the
         # executor takes the decoder's slot.

@@ -47,6 +47,7 @@ from __future__ import annotations
 import base64
 import hashlib
 import json
+import math
 import zlib
 from dataclasses import dataclass, field
 
@@ -65,6 +66,15 @@ _KINDS = (KIND_TASK, KIND_TIMER, KIND_INVALIDATE, KIND_CHAIN_START,
 
 #: Kinds whose completion/expiry callbacks may record children.
 _PARENT_KINDS = (KIND_TASK, KIND_TIMER)
+
+#: Node payloads that must be ``int`` when present.
+_NODE_INT_FIELDS = ("parent", "input_ordinal", "priority", "delay_us",
+                    "state_id", "chain_key", "period_us")
+
+
+def _is_int(value) -> bool:
+    """An ``int`` proper: ``True`` is not a node id, nor ``1.0`` a delay."""
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 class DemandTraceError(ReproError):
@@ -205,12 +215,23 @@ class DemandTrace:
     # --- contract --------------------------------------------------------------
 
     def validate(self) -> None:
-        """Raise :class:`DemandTraceError` on any contract violation."""
+        """Raise :class:`DemandTraceError` on any contract violation.
+
+        Payload types are part of the contract: the evaluation pass
+        builds its tasks without ``Task``'s own checks, so a string
+        cycle count or a float delay must be rejected here.
+        """
         if self.schema_version != DEMAND_TRACE_SCHEMA_VERSION:
             raise DemandTraceError(
                 f"demand trace schema {self.schema_version} != supported "
                 f"{DEMAND_TRACE_SCHEMA_VERSION}"
             )
+        for name in ("duration_us", "width", "height", "input_events"):
+            value = getattr(self, name)
+            if not _is_int(value):
+                raise DemandTraceError(
+                    f"demand trace {name} must be an int, got {value!r}"
+                )
         if self.width <= 0 or self.height <= 0 or self.duration_us <= 0:
             raise DemandTraceError(
                 "demand trace needs positive dimensions and duration"
@@ -231,7 +252,28 @@ class DemandTrace:
         seen_chains: set[int] = set()
         task_ids: dict[int, DemandNode] = {}
         for index, node in enumerate(self.nodes):
-            where = f"node {node.node_id}"
+            where = f"node {node.node_id!r}"
+            if not _is_int(node.node_id):
+                raise DemandTraceError(f"{where}: node_id must be an int")
+            for name in _NODE_INT_FIELDS:
+                value = getattr(node, name)
+                if value is not None and not _is_int(value):
+                    raise DemandTraceError(
+                        f"{where}: {name} must be an int, got {value!r}"
+                    )
+            if node.cycles is not None and not (
+                isinstance(node.cycles, (int, float))
+                and not isinstance(node.cycles, bool)
+                and math.isfinite(node.cycles)
+            ):
+                raise DemandTraceError(
+                    f"{where}: cycles must be a finite real number, "
+                    f"got {node.cycles!r}"
+                )
+            if node.name is not None and not isinstance(node.name, str):
+                raise DemandTraceError(
+                    f"{where}: name must be a str, got {node.name!r}"
+                )
             if node.node_id != index:
                 raise DemandTraceError(
                     f"{where}: ids must be dense and ordered (at index {index})"
@@ -307,29 +349,38 @@ class DemandTrace:
         if self.match_states is not None:
             for lag_index, matched in enumerate(self.match_states):
                 for state_id in matched:
-                    if not 0 <= state_id < len(self.states):
+                    if not _is_int(state_id) or not (
+                        0 <= state_id < len(self.states)
+                    ):
                         raise DemandTraceError(
                             f"match table for annotation {lag_index} "
-                            f"references state {state_id} of "
+                            f"references state {state_id!r} of "
                             f"{len(self.states)}"
                         )
             for lag_index in self.blank_matches:
-                if not 0 <= lag_index < len(self.match_states):
+                if not _is_int(lag_index) or not (
+                    0 <= lag_index < len(self.match_states)
+                ):
                     raise DemandTraceError(
                         f"blank-frame match references annotation "
-                        f"{lag_index} of {len(self.match_states)}"
+                        f"{lag_index!r} of {len(self.match_states)}"
                     )
         elif self.blank_matches:
             raise DemandTraceError(
                 "blank-frame matches present without a match table"
             )
         for ordinal, guard in self.guards.items():
-            if not 0 <= ordinal < self.input_events:
+            if not _is_int(ordinal) or not 0 <= ordinal < self.input_events:
                 raise DemandTraceError(
-                    f"guard ordinal {ordinal} outside the "
+                    f"guard ordinal {ordinal!r} outside the "
                     f"{self.input_events} recorded events"
                 )
             for node_id in guard:
+                if not _is_int(node_id):
+                    raise DemandTraceError(
+                        f"guard at ordinal {ordinal} holds {node_id!r}, "
+                        "not a node id"
+                    )
                 node = task_ids.get(node_id)
                 if node is None:
                     raise DemandTraceError(

@@ -47,9 +47,7 @@ telemetry to stderr.
 
 Kill switches (``REPRO_*`` environment flags, see
 :mod:`repro.core.env`): ``REPRO_DEMAND=0`` disables the kernel-only
-demand pass, ``REPRO_DEMAND_COMPILE=0`` swaps the compiled flat-array
-demand walk for the node-object interpreter — both A/B switches whose
-results are bit-identical either way.
+demand pass, an A/B switch whose results are bit-identical either way.
 """
 
 from __future__ import annotations

@@ -155,7 +155,7 @@ def run_policy_queries(
 
 
 def _demand_kernel_trace(windows: int, states: int = 4):
-    """A synthetic demand trace exercising every compiled node kind.
+    """A synthetic demand trace exercising every walked node kind.
 
     Per input window: a foreground tap task fans out into a staged timer
     chain, two invalidates and a background IO task with a childless
@@ -234,9 +234,9 @@ _DEMAND_KERNEL_WINDOWS = 3_000
 def _demand_kernel_program(windows: int):
     """The bench's preprocessed program, built once per process.
 
-    Mirrors a fleet worker: one :class:`DemandProgram` (and one compiled
-    lowering, memoized inside it) shared by every evaluation, so the
-    timed region is the walk — not trace construction or lowering.
+    Mirrors a fleet worker: one :class:`DemandProgram` (the trace
+    lowered to action tuples) shared by every evaluation, so the timed
+    region is the walk — not trace construction or lowering.
     """
     global _DEMAND_KERNEL_PROGRAM
     if (
@@ -252,18 +252,16 @@ def _demand_kernel_program(windows: int):
 def run_demand_kernel(windows: int = _DEMAND_KERNEL_WINDOWS) -> Engine:
     """The demand executor's walk over a live kernel at one fixed OPP.
 
-    Isolates what the compiled flat-array walk optimises: node dispatch,
-    task submission, timer re-arm and child fan-out — with the governor
-    pinned (``fixed:960000``) so sampling cost does not drown the walk.
-    The executor is chosen exactly as a sweep cell would choose it
-    (``REPRO_DEMAND_COMPILE``), so the same bench A/Bs the interpreter.
+    Isolates the action-tuple walk: node dispatch, task submission,
+    timer re-arm and child fan-out — with the governor pinned
+    (``fixed:960000``) so sampling cost does not drown the walk.
     """
-    from repro.demand.replayer import make_executor
+    from repro.demand.replayer import DemandExecutor
     from repro.device.device import Device
 
     program = _demand_kernel_program(windows)
     device = Device()
-    executor = make_executor(device, program, pixels=False)
+    executor = DemandExecutor(device, program, pixels=False)
     executor.run_setup()
     device.set_governor("fixed:960000")
     spacing = 20_000

@@ -1,5 +1,8 @@
 """Unit tests for the centralised REPRO_* kill-switch parsing."""
 
+import re
+from pathlib import Path
+
 import pytest
 
 from repro.core.env import KNOWN_FLAGS, env_flag, reset_env_flag_cache
@@ -64,28 +67,39 @@ class TestKnownFlags:
         assert KNOWN_FLAGS["REPRO_STREAM"][0] is True
         assert KNOWN_FLAGS["REPRO_TRACE"][0] is False
         assert KNOWN_FLAGS["REPRO_DEMAND"][0] is True
-        assert KNOWN_FLAGS["REPRO_DEMAND_COMPILE"][0] is True
 
     def test_module_call_sites_agree_with_documented_defaults(self, monkeypatch):
         """The one call site per flag uses the KNOWN_FLAGS default."""
         from repro.capture.stream import stream_enabled
-        from repro.demand import demand_compile_enabled
+        from repro.demand import demand_enabled
         from repro.governors.base import idle_fastpath_enabled
         from repro.obs.session import trace_enabled
 
-        for name in (
-            "REPRO_FASTPATH",
-            "REPRO_STREAM",
-            "REPRO_TRACE",
-            "REPRO_DEMAND_COMPILE",
-        ):
+        call_sites = {
+            "REPRO_FASTPATH": idle_fastpath_enabled,
+            "REPRO_STREAM": stream_enabled,
+            "REPRO_TRACE": trace_enabled,
+            "REPRO_DEMAND": demand_enabled,
+        }
+        assert call_sites.keys() == KNOWN_FLAGS.keys()
+        for name in call_sites:
             monkeypatch.delenv(name, raising=False)
         reset_env_flag_cache()
-        assert idle_fastpath_enabled() is KNOWN_FLAGS["REPRO_FASTPATH"][0]
-        assert stream_enabled() is KNOWN_FLAGS["REPRO_STREAM"][0]
-        assert trace_enabled() is KNOWN_FLAGS["REPRO_TRACE"][0]
-        assert (
-            demand_compile_enabled() is KNOWN_FLAGS["REPRO_DEMAND_COMPILE"][0]
+        for name, enabled in call_sites.items():
+            assert enabled() is KNOWN_FLAGS[name][0], name
+
+    def test_readme_flag_table_lists_exactly_the_known_flags(self):
+        """The README's environment-variable table documents every flag,
+        each once and with its default."""
+        readme = Path(__file__).resolve().parents[2] / "README.md"
+        rows = re.findall(
+            r"^\| `(REPRO_[A-Z_]+)` \| (on|off) \|",
+            readme.read_text(encoding="utf-8"),
+            flags=re.M,
+        )
+        assert sorted(rows) == sorted(
+            (name, "on" if default else "off")
+            for name, (default, _meaning) in KNOWN_FLAGS.items()
         )
 
     def test_kill_switches_disarm_their_modules(self, monkeypatch):

@@ -4,7 +4,7 @@ import zlib
 
 import pytest
 
-from repro.demand import DemandNode, DemandTrace, DemandTraceError
+from repro.demand import DemandNode, DemandTrace, DemandTraceError, DemandTraceStore
 from repro.demand.trace import (
     KIND_CHAIN_START,
     KIND_CHAIN_STOP,
@@ -39,6 +39,14 @@ def make_trace(**overrides) -> DemandTrace:
     )
     fields.update(overrides)
     return DemandTrace(**fields)
+
+
+def _nodes_with(index, **changes):
+    """The default trace's nodes with node ``index``'s fields replaced."""
+    nodes = make_trace().nodes
+    for name, value in changes.items():
+        setattr(nodes[index], name, value)
+    return nodes
 
 
 def test_valid_trace_passes_validation():
@@ -101,6 +109,23 @@ def test_malformed_payload_rejected():
         ({"guards": {5: (1,)}}, "guard ordinal 5"),
         ({"guards": {0: (2,)}}, "not a task"),
         ({"guards": {0: (0,)}}, "not a task"),
+        ({"guards": {1: ("1",)}}, "holds '1', not a node id"),
+        ({"width": 2.0}, "width must be an int"),
+        ({"nodes": _nodes_with(2, delay_us=1500.5)},
+         "node 2: delay_us must be an int"),
+        ({"nodes": _nodes_with(2, delay_us=True)},
+         "node 2: delay_us must be an int"),
+        ({"nodes": _nodes_with(1, input_ordinal="0")},
+         "node 1: input_ordinal must be an int"),
+        ({"nodes": _nodes_with(1, cycles="5")},
+         "node 1: cycles must be a finite real number"),
+        ({"nodes": _nodes_with(0, cycles=True)},
+         "node 0: cycles must be a finite real number"),
+        ({"nodes": _nodes_with(0, cycles=float("nan"))},
+         "node 0: cycles must be a finite real number"),
+        ({"nodes": _nodes_with(1, name=5)}, "node 1: name must be a str"),
+        ({"match_states": [("0",)]}, "references state '0'"),
+        ({"blank_matches": ("0",)}, "references annotation '0'"),
     ],
 )
 def test_contract_violations_are_rejected(overrides, pattern):
@@ -133,3 +158,16 @@ def test_chain_stop_before_start_rejected():
     trace = make_trace(nodes=[DemandNode(0, KIND_CHAIN_STOP, chain_key=1)])
     with pytest.raises(DemandTraceError, match="before any start"):
         trace.validate()
+
+
+def test_store_counts_a_mistyped_entry_as_a_miss(tmp_path):
+    """A stored trace that fails the type checks is a miss, not a crash."""
+
+    class Workload:
+        def fingerprint(self):
+            return "unit"
+
+    store = DemandTraceStore(tmp_path)
+    store.store(Workload(), make_trace(nodes=_nodes_with(1, cycles="5")))
+    assert store.load(Workload()) is None
+    assert (store.hits, store.misses) == (0, 1)
