@@ -75,6 +75,7 @@ class DemandTraceStore:
         self.hits += 1
         return trace
 
-    def store(self, artifacts, trace: DemandTrace) -> None:
-        path = self.path_for(demand_trace_key(artifacts))
-        atomic_write_text(path, trace.dumps())
+    def store(self, artifacts, trace: DemandTrace | str) -> None:
+        """Write ``trace`` (or its JSON text) for ``artifacts``."""
+        text = trace if isinstance(trace, str) else trace.dumps()
+        atomic_write_text(self.path_for(demand_trace_key(artifacts)), text)

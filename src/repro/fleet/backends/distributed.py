@@ -47,21 +47,19 @@ import sqlite3
 import time
 import uuid
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable
+from typing import Iterable
 
 from repro.core.errors import ReproError
 from repro.fleet.backends.registry import (
     CellResult,
     FleetBackend,
+    WorkloadState,
     opt_float,
     opt_int,
     register_backend,
     reject_unknown_opts,
 )
 from repro.fleet.spec import RunSpec
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.harness.experiment import WorkloadArtifacts
 
 #: Seconds between coordinator polls of the queue.
 POLL_S = 0.02
@@ -341,9 +339,9 @@ def _work_cells(
     the queue drains.
 
     Assumes :func:`~repro.fleet.backends.local.init_worker` already
-    installed this process's artifacts (and demand program).  Every row
-    is published to the shared store *before* its ack, so a cell the
-    queue says is done is always resumable from the store.  The batch
+    installed this process's workloads.  Every row is published to the
+    shared store *before* its ack, so a cell the queue says is done is
+    always resumable from the store.  The batch
     acks in one transaction; a worker that dies mid-batch leaves its
     executed-but-unacked cells leased, and their re-execution after
     lease expiry is harmless — replays are deterministic and the store
@@ -397,8 +395,7 @@ def _distributed_worker(
     queue_path: str,
     run_id: str,
     store,
-    artifacts,
-    demand_trace,
+    workloads: dict[str, WorkloadState],
     worker: str,
     lease_s: float,
     batch: int,
@@ -407,7 +404,7 @@ def _distributed_worker(
     """Entry point of one spawned worker process."""
     from repro.fleet.backends.local import init_worker
 
-    init_worker(artifacts, demand_trace)
+    init_worker(workloads)
     _work_cells(
         queue=SqliteWorkQueue(queue_path),
         run_id=run_id,
@@ -503,9 +500,8 @@ class DistributedBackend(FleetBackend):
 
     def execute(
         self,
-        artifacts: "WorkloadArtifacts",
+        workloads: dict[str, WorkloadState],
         pending: list[tuple[int, RunSpec]],
-        demand_trace=None,
         keys: dict[int, str] | None = None,
         store=None,
     ) -> Iterable[CellResult]:
@@ -532,8 +528,7 @@ class DistributedBackend(FleetBackend):
                     str(self.queue_path),
                     run_id,
                     store,
-                    artifacts,
-                    demand_trace,
+                    workloads,
                     f"worker-{seq}",
                     self.lease_s,
                     self.batch,
@@ -565,8 +560,7 @@ class DistributedBackend(FleetBackend):
                     # cells outstanding: reclaim their leases and drain
                     # inline so the run always terminates.
                     queue.release_leases(run_id)
-                    self._drain_inline(queue, run_id, store, artifacts,
-                                       demand_trace)
+                    self._drain_inline(queue, run_id, store, workloads)
                     continue
                 time.sleep(POLL_S)
         finally:
@@ -581,13 +575,13 @@ class DistributedBackend(FleetBackend):
             self.last_redispatched = queue.redispatched(run_id)
 
     def _drain_inline(
-        self, queue: SqliteWorkQueue, run_id: str, store, artifacts,
-        demand_trace,
+        self, queue: SqliteWorkQueue, run_id: str, store,
+        workloads: dict[str, WorkloadState],
     ) -> None:
         """Run the remaining cells in the coordinator process."""
         from repro.fleet.backends.local import init_worker
 
-        init_worker(artifacts, demand_trace)
+        init_worker(workloads)
         try:
             _work_cells(
                 queue=queue,
@@ -599,7 +593,7 @@ class DistributedBackend(FleetBackend):
                 wait_for_stragglers=False,
             )
         finally:
-            init_worker(None)
+            init_worker({})
 
 
 register_backend(DistributedBackend.name, DistributedBackend.from_opts)

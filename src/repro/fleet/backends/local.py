@@ -6,14 +6,20 @@ shipped with from day one, extracted behind the backend contract:
 * ``jobs == 1`` (or a single pending cell) runs inline in the parent
   process — no pool overhead, and the reference the parallel paths must
   be bit-identical to,
-* ``jobs > 1`` chunks cells across a :mod:`multiprocessing` pool whose
-  workers receive the recorded artifacts (and, when the demand pass is
-  on, the preprocessed :class:`~repro.demand.replayer.DemandProgram`)
-  once at pool initialisation.
+* ``jobs > 1`` deals cells one at a time to a :mod:`multiprocessing`
+  pool whose workers receive every workload of the batch (artifacts
+  and, when the demand pass is on, its demand trace) once at pool
+  initialisation; a worker preprocesses a trace into a
+  :class:`~repro.demand.replayer.DemandProgram` when it first runs a
+  cell of that workload.  Governor cells are dealt before fixed-OPP
+  cells: they are the slowest, and a batch that ends on them leaves
+  workers idle while the last ones finish.
 
 The worker-side functions (:func:`init_worker`, :func:`run_spec_cell`)
 live here so other process-spanning backends — the distributed worker
 loop — execute cells through exactly the same code as the pool path.
+:func:`pool_map` is the same inline-or-pool choice for the one-off
+per-workload steps (recording, demand capture) that precede a batch.
 """
 
 from __future__ import annotations
@@ -22,40 +28,31 @@ import multiprocessing
 import os
 import time
 import traceback
-from typing import TYPE_CHECKING, Iterable
+from typing import Iterable, Iterator
 
 from repro.core.errors import ReproError
 from repro.fleet.backends.registry import (
     CellResult,
     FleetBackend,
+    WorkloadState,
     opt_int,
     register_backend,
     reject_unknown_opts,
 )
 from repro.fleet.spec import RunSpec
 
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.harness.experiment import WorkloadArtifacts
-
 # --- worker-process side ----------------------------------------------------------
 
-_WORKER_ARTIFACTS = None  # WorkloadArtifacts | None
-_WORKER_PROGRAM = None  # DemandProgram | None
+_WORKER_WORKLOADS: dict[str, WorkloadState] = {}
 
 
-def init_worker(artifacts, demand_trace=None) -> None:
-    """Install the per-process replay state: artifacts and, when the
-    demand pass is on, the trace preprocessed once into a
-    :class:`~repro.demand.replayer.DemandProgram` shared by every cell
-    this worker runs."""
-    global _WORKER_ARTIFACTS, _WORKER_PROGRAM
-    _WORKER_ARTIFACTS = artifacts
-    if demand_trace is None:
-        _WORKER_PROGRAM = None
-    else:
-        from repro.demand import DemandProgram
-
-        _WORKER_PROGRAM = DemandProgram(demand_trace)
+def init_worker(workloads: dict[str, WorkloadState]) -> None:
+    """Install the per-process replay state: the batch's workloads,
+    keyed by :attr:`RunSpec.dataset <repro.fleet.spec.RunSpec.dataset>`.
+    Each workload's demand program is built once, shared by every cell
+    of that workload this worker runs."""
+    global _WORKER_WORKLOADS
+    _WORKER_WORKLOADS = workloads
 
 
 def run_spec_cell(item: tuple[int, RunSpec]) -> CellResult:
@@ -74,18 +71,21 @@ def run_spec_cell(item: tuple[int, RunSpec]) -> CellResult:
     from repro.fleet.engine import WorkerFailure, execute_spec
 
     index, spec = item
+    workload = _WORKER_WORKLOADS[spec.dataset]
+    # Built before the clock starts: the telemetry covers the replay only.
+    program = workload.program()
     wall_start = time.perf_counter()
     cpu_start = time.process_time()
     mode = "full"
     fallback_reason = None
     try:
-        if _WORKER_PROGRAM is not None:
+        if program is not None:
             from repro.demand import DemandFallback, demand_replay_run
 
             try:
                 record = demand_replay_run(
-                    _WORKER_ARTIFACTS,
-                    _WORKER_PROGRAM,
+                    workload.artifacts,
+                    program,
                     spec.config,
                     rep=spec.rep,
                     master_seed=spec.master_seed,
@@ -94,9 +94,9 @@ def run_spec_cell(item: tuple[int, RunSpec]) -> CellResult:
                 mode = "demand"
             except DemandFallback as fallback:
                 fallback_reason = fallback.reason
-                record = execute_spec(_WORKER_ARTIFACTS, spec)
+                record = execute_spec(workload.artifacts, spec)
         else:
-            record = execute_spec(_WORKER_ARTIFACTS, spec)
+            record = execute_spec(workload.artifacts, spec)
         row, failure = record.to_json_dict(), None
     except Exception as exc:  # shipped home; the pool must not die
         row = None
@@ -120,6 +120,26 @@ def run_spec_cell(item: tuple[int, RunSpec]) -> CellResult:
 # --- parent side ------------------------------------------------------------------
 
 
+def pool_map(task, items: list, jobs: int) -> Iterator:
+    """Yield ``task(item)`` for each item, in item order.
+
+    On up to ``jobs`` worker processes, or inline when only one would
+    run.  ``task`` must be a module-level function of :mod:`repro`: the
+    pool sends it by reference.  It should look up the functions it
+    calls by name when it runs, so that code which wraps those names (a
+    tracer, a test double) sees the calls.  Items go to the workers and
+    results come back by pickle; like the cell pool, the workers start
+    with the platform's default method.
+    """
+    jobs = min(jobs, len(items))
+    if jobs <= 1:
+        yield from map(task, items)
+        return
+    with multiprocessing.Pool(processes=jobs) as pool:
+        yield from pool.imap(task, items, chunksize=1)
+
+
+
 class LocalBackend(FleetBackend):
     """Inline / ``multiprocessing.Pool`` execution on this machine."""
 
@@ -140,9 +160,8 @@ class LocalBackend(FleetBackend):
 
     def execute(
         self,
-        artifacts: "WorkloadArtifacts",
+        workloads: dict[str, WorkloadState],
         pending: list[tuple[int, RunSpec]],
-        demand_trace=None,
         keys: dict[int, str] | None = None,
         store=None,
     ) -> Iterable[CellResult]:
@@ -152,23 +171,26 @@ class LocalBackend(FleetBackend):
         if jobs == 1:
             # Inline path: identical semantics, no pool overhead.  This is
             # also the reference the parallel path must be bit-identical to.
-            init_worker(artifacts, demand_trace)
+            init_worker(workloads)
             try:
                 for item in pending:
                     yield run_spec_cell(item)
             finally:
-                # Drop the parent-process reference so the trace/database
-                # can be collected once the run is over.
-                init_worker(None)
+                # Drop the parent-process reference so the traces and
+                # programs can be collected once the run is over.
+                init_worker({})
             return
-        chunksize = max(1, len(pending) // (jobs * 4))
+        # Governor cells first (see the module docstring).
+        ordered = sorted(
+            pending, key=lambda item: item[1].config.startswith("fixed:")
+        )
         with multiprocessing.Pool(
             processes=jobs,
             initializer=init_worker,
-            initargs=(artifacts, demand_trace),
+            initargs=(workloads,),
         ) as pool:
             yield from pool.imap_unordered(
-                run_spec_cell, pending, chunksize=chunksize
+                run_spec_cell, ordered, chunksize=1
             )
 
 

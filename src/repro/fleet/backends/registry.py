@@ -12,11 +12,13 @@ CLI — ``--backend NAME[:key=value,...]`` — through the same
     local:jobs=8               # override the worker count
     distributed:dir=/shared,workers=4,lease=30,batch=2
 
-Every backend honours the engine's contract: it receives the pending
-``(index, spec)`` cells and yields ``(index, row, failure, telemetry)``
-in completion order; the engine's ordered merge then makes output
-bit-identical to the serial path regardless of backend, worker count or
-completion order.
+Every backend honours the engine's contract: it receives the batch's
+workloads — one :class:`WorkloadState` per :attr:`RunSpec.dataset
+<repro.fleet.spec.RunSpec.dataset>` — and the pending ``(index, spec)``
+cells, and yields ``(index, row, failure, telemetry)`` in completion
+order; the engine's ordered merge then makes output bit-identical to
+the serial path regardless of backend, worker count or completion
+order.
 
 Registration follows the governor-registry idiom: importing
 :mod:`repro.fleet.backends` registers the built-ins; callers go through
@@ -40,6 +42,40 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 CellResult = tuple[int, "dict | None", "WorkerFailure | None", dict]
 
 
+class WorkloadState:
+    """One workload as a cell worker holds it.
+
+    ``artifacts`` is the recorded workload; ``demand_trace`` is its
+    demand trace — a :class:`~repro.demand.trace.DemandTrace` or its
+    JSON text — or None when the batch uses full replays.  The trace is
+    parsed and preprocessed into a
+    :class:`~repro.demand.replayer.DemandProgram` on the first
+    :meth:`program` call, so a worker pays that only for the workloads
+    whose cells it actually runs, and the parent of a pool need not
+    hold a parsed trace of every workload.
+    """
+
+    __slots__ = ("artifacts", "demand_trace", "_program")
+
+    def __init__(
+        self, artifacts: "WorkloadArtifacts", demand_trace=None
+    ) -> None:
+        self.artifacts = artifacts
+        self.demand_trace = demand_trace
+        self._program = None
+
+    def program(self):
+        """The demand program (built once), or None for full replays."""
+        if self._program is None and self.demand_trace is not None:
+            from repro.demand import DemandProgram, DemandTrace
+
+            trace = self.demand_trace
+            if isinstance(trace, str):
+                trace = DemandTrace.loads(trace)
+            self._program = DemandProgram(trace)
+        return self._program
+
+
 class FleetBackend:
     """Contract every execution backend implements.
 
@@ -60,12 +96,12 @@ class FleetBackend:
 
     def execute(
         self,
-        artifacts: "WorkloadArtifacts",
+        workloads: dict[str, WorkloadState],
         pending: "list[tuple[int, RunSpec]]",
-        demand_trace=None,
         keys: dict[int, str] | None = None,
         store=None,
     ) -> Iterable[CellResult]:
+        """Run each pending spec on ``workloads[spec.dataset]``."""
         raise NotImplementedError
 
     def describe(self) -> str:

@@ -33,10 +33,16 @@ produced, but
   and shipped back as a :class:`WorkerFailure` (with its traceback text);
   the remaining cells still run, then the engine raises a single
   :class:`FleetError` describing every failed cell,
+* **multi-workload** — one run may span several recorded workloads
+  (a study's whole grid): each spec names its workload by
+  :attr:`RunSpec.dataset`, and every pending cell of every workload goes
+  to the backend in one batch, so a pool starts once and stays busy to
+  the end,
 * **demand-accelerated** — unless ``REPRO_DEMAND=0``, the engine captures
-  the workload's demand trace once (or loads it from the cache-adjacent
-  :class:`~repro.demand.store.DemandTraceStore`), ships it to every
-  worker, and evaluates each cell with the kernel-only
+  each workload's demand trace once (or loads it from the cache-adjacent
+  :class:`~repro.demand.store.DemandTraceStore`) — missing traces on up
+  to ``jobs`` processes at once — ships them to every worker, and
+  evaluates each cell with the kernel-only
   :func:`~repro.demand.replayer.demand_replay_run`.  A cell whose replay
   diverges from the trace's contract raises
   :class:`~repro.demand.replayer.DemandFallback` and is transparently
@@ -47,11 +53,13 @@ produced, but
 from __future__ import annotations
 
 import time
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from statistics import median
 from typing import TYPE_CHECKING, Callable
 
 from repro.core.errors import ReproError
+from repro.fleet.backends.registry import WorkloadState
 from repro.fleet.cache import ResultCache
 from repro.fleet.spec import RunSpec
 from repro.results import RunRecord
@@ -105,8 +113,10 @@ class FleetStats:
     cells by evaluation pass, ``fallback_cells`` counts demand cells
     that had to re-run as full replays (every one is also a
     ``full_cells`` member), and ``demand_trace_source`` records where
-    the trace came from (``"cache"``, ``"captured"``, or None when the
-    run used full replays throughout).  ``fallback_reasons`` counts
+    the traces came from (``"cache"``, ``"captured"``, both joined as
+    ``"cache+captured"``, or None when the run used full replays
+    throughout).  ``demand_capture_s`` is the wall time of the capture
+    step, however many workloads it captured.  ``fallback_reasons`` counts
     every fallback — including a cell whose full-replay rerun then
     failed — so reason totals may exceed ``fallback_cells``.
 
@@ -180,12 +190,31 @@ def execute_spec(artifacts: "WorkloadArtifacts", spec: RunSpec) -> RunRecord:
     )
 
 
+def capture_task(artifacts: "WorkloadArtifacts") -> tuple:
+    """Capture one workload's demand trace: ``(trace JSON text, None)``,
+    or ``(None, error text)`` when the capture raised a
+    :class:`ReproError`.
+
+    A pool task: ``capture_demand`` is looked up by name at call time.
+    The trace travels as the JSON text the trace store writes, which
+    the cell workers parse; the parent only writes it out.
+    """
+    import repro.demand
+
+    try:
+        return repro.demand.capture_demand(artifacts).dumps(), None
+    except ReproError as exc:
+        return None, f"{type(exc).__name__}: {exc}"
+
+
 class FleetEngine:
     """Dispatch specs through a backend with optional result cache.
 
     ``backend`` is any :class:`~repro.fleet.backends.registry.FleetBackend`;
     by default a :class:`~repro.fleet.backends.local.LocalBackend` over
     ``jobs`` worker processes (``jobs == 1`` is the inline serial path).
+    ``jobs`` also bounds the processes that capture missing demand
+    traces.
     """
 
     def __init__(
@@ -208,9 +237,27 @@ class FleetEngine:
         self.last_stats = FleetStats()
 
     def run(
-        self, artifacts: WorkloadArtifacts, specs: list[RunSpec]
+        self,
+        artifacts: "WorkloadArtifacts | Mapping[str, WorkloadArtifacts]",
+        specs: list[RunSpec],
     ) -> list[RunRecord]:
-        """Execute ``specs`` and return records in spec order."""
+        """Execute ``specs`` and return records in spec order.
+
+        ``artifacts`` is one recorded workload, or a mapping from
+        workload name to workload when the specs span several; either
+        way each spec runs on the workload its ``dataset`` names.
+        """
+        workloads = (
+            dict(artifacts)
+            if isinstance(artifacts, Mapping)
+            else {artifacts.name: artifacts}
+        )
+        for spec in specs:
+            if spec.dataset not in workloads:
+                raise ReproError(
+                    f"spec {spec.label()} names workload {spec.dataset!r}, "
+                    f"not one of this run's ({', '.join(workloads)})"
+                )
         stats = FleetStats(total=len(specs), backend=self.backend.name)
         self.last_stats = stats
         if self.backend.requires_store and self.cache is None:
@@ -224,9 +271,10 @@ class FleetEngine:
         pending: list[tuple[int, RunSpec]] = []
 
         if self.cache is not None:
-            fingerprint = artifacts.fingerprint()
             for index, spec in enumerate(specs):
-                key = self.cache.key_for(spec, fingerprint)
+                key = self.cache.key_for(
+                    spec, workloads[spec.dataset].fingerprint()
+                )
                 keys[index] = key
                 cached = self.cache.load(key)
                 if cached is None:
@@ -238,13 +286,18 @@ class FleetEngine:
         else:
             pending = list(enumerate(specs))
 
-        demand_trace = self._demand_trace(artifacts, stats) if pending else None
+        needed = {
+            spec.dataset: workloads[spec.dataset] for _, spec in pending
+        }
+        traces = self._demand_traces(needed, stats)
 
         failures: list[WorkerFailure] = []
         for index, row, failure, telemetry in self.backend.execute(
-            artifacts,
+            {
+                name: WorkloadState(artifacts, traces.get(name))
+                for name, artifacts in needed.items()
+            },
             pending,
-            demand_trace=demand_trace,
             keys=keys if self.cache is not None else None,
             store=self.cache,
         ):
@@ -287,40 +340,56 @@ class FleetEngine:
             raise FleetError(failures)
         return [results[index] for index in range(len(specs))]
 
-    def _demand_trace(self, artifacts: WorkloadArtifacts, stats: FleetStats):
-        """Resolve the workload's demand trace: cached, captured, or None.
+    def _demand_traces(
+        self, workloads: dict[str, "WorkloadArtifacts"], stats: FleetStats
+    ) -> dict:
+        """Resolve each workload's demand trace: cached, else captured.
 
-        None (full replays throughout) when ``REPRO_DEMAND=0`` or when the
-        one-time capture itself fails — a capture failure is recorded in
-        the stats and degrades the run, never aborts it.  The capture
-        wall time is reported to the progress hook so ETAs extrapolate
-        per-cell cost only, not the one-off setup.
+        A workload is absent from the result (full replays) when
+        ``REPRO_DEMAND=0`` or when its one-time capture fails — a
+        capture failure is recorded in the stats and degrades the run,
+        never aborts it.  Missing traces are captured on up to ``jobs``
+        processes and stored as they arrive.  The capture wall time is
+        reported to the progress hook so ETAs extrapolate per-cell cost
+        only, not the one-off setup.
         """
-        from repro.demand import (
-            DemandTraceStore,
-            capture_demand,
-            demand_enabled,
-        )
+        from repro.demand import DemandTraceStore, demand_enabled
+        from repro.fleet.backends.local import pool_map
 
-        if not demand_enabled():
-            return None
+        if not workloads or not demand_enabled():
+            return {}
         store = DemandTraceStore.for_cache(self.cache)
-        trace = store.load(artifacts) if store is not None else None
-        if trace is not None:
-            stats.demand_trace_source = "cache"
-            return trace
-        capture_start = time.perf_counter()
-        try:
-            trace = capture_demand(artifacts)
-        except ReproError as exc:
-            stats.demand_capture_error = f"{type(exc).__name__}: {exc}"
-            return None
-        stats.demand_capture_s = time.perf_counter() - capture_start
-        stats.demand_trace_source = "captured"
-        self._note_capture(stats.demand_capture_s)
-        if store is not None:
-            store.store(artifacts, trace)
-        return trace
+        traces = {}
+        missing = []
+        for name, artifacts in workloads.items():
+            trace = store.load(artifacts) if store is not None else None
+            if trace is None:
+                missing.append(name)
+            else:
+                traces[name] = trace
+        sources = {"cache"} if traces else set()
+        if missing:
+            errors = []
+            capture_start = time.perf_counter()
+            captures = pool_map(
+                capture_task, [workloads[name] for name in missing], self.jobs
+            )
+            for name, (trace, error) in zip(missing, captures):
+                if error is not None:
+                    errors.append(f"{name}: {error}")
+                    continue
+                traces[name] = trace
+                sources.add("captured")
+                if store is not None:
+                    store.store(workloads[name], trace)
+            if "captured" in sources:
+                stats.demand_capture_s = time.perf_counter() - capture_start
+                self._note_capture(stats.demand_capture_s)
+            if errors:
+                stats.demand_capture_error = "; ".join(errors)
+        if sources:
+            stats.demand_trace_source = "+".join(sorted(sources))
+        return traces
 
     def _note_capture(self, seconds: float) -> None:
         """Tell an ETA-aware progress hook about one-time capture cost."""

@@ -61,6 +61,7 @@ class ProgressReporter:
         self._clock = clock
         self._heartbeat_s = heartbeat_s
         self._config_index: dict[str, int] = {}
+        self._multi_workload = False
         self._reps = 0
         self._total = 0
         self._done = 0
@@ -75,13 +76,14 @@ class ProgressReporter:
     def bind(self, specs: list[RunSpec]) -> "ProgressReporter":
         """Learn the grid shape; called by the sweep before dispatch.
 
-        Rebinding (a study's next workload) resets every per-grid
+        Rebinding (the next grid on one reporter) resets every per-grid
         accumulator — counts, worker aggregates, heartbeat pacing, the
         demand-capture allowance — so the new grid's heartbeats and
         ``fleet_summary`` never carry the previous grid's runs.  Only
         ``seq`` survives: the JSONL stream is one ordered sequence.
         """
         self._config_index = {}
+        self._multi_workload = len({spec.dataset for spec in specs}) > 1
         self._reps = 0
         for spec in specs:
             self._config_index.setdefault(spec.config, len(self._config_index))
@@ -150,8 +152,14 @@ class ProgressReporter:
             worker["cpu_s"] += telemetry["cpu_s"]
         if self._human:
             eta = self.eta_seconds()
+            # A grid spanning several workloads names each cell's workload.
+            cell = (
+                f"{spec.dataset} {spec.config}"
+                if self._multi_workload
+                else spec.config
+            )
             line = (
-                f"  {self.label}: {spec.config} "
+                f"  {self.label}: {cell} "
                 f"(config {config_pos}/{max(1, len(self._config_index))}, "
                 f"rep {spec.rep + 1}/{max(1, self._reps)}) — "
                 f"{self._done}/{self._total} runs"

@@ -77,6 +77,7 @@ from repro.harness.sweep import (
     fixed_configs,
     parse_sweep_configs,
     run_sweep,
+    run_sweeps,
 )
 from repro.workloads.datasets import dataset, dataset_names
 
@@ -102,9 +103,7 @@ def _progress_jsonl(args):
 
     ``-`` streams to stderr (stdout stays reserved for deterministic
     study output).  Caller owns the handle — close it with
-    :func:`_close_progress_jsonl` in a ``finally``; study shares one
-    handle across its per-workload sweeps so the stream stays a single
-    ordered sequence.
+    :func:`_close_progress_jsonl` in a ``finally``.
     """
     path = getattr(args, "progress_jsonl", None)
     if not path:
@@ -244,14 +243,28 @@ def _workload_name(args) -> str:
     return args.dataset
 
 
+def _record_task(item):
+    """Record one ``(spec, master_seed)`` workload (a pool task).
+
+    Goes through this module's ``record_workload`` name, looked up at
+    call time, so anything that wraps that name sees exactly the real
+    recordings.  The fingerprint is hashed here too, in parallel; it
+    travels back with the artifacts.
+    """
+    spec, master_seed = item
+    artifacts = record_workload(spec, master_seed=master_seed)
+    artifacts.fingerprint()
+    return artifacts
+
+
 class _Workloads:
     """The recorded workloads of one command: from the store, else recorded.
 
     With a result cache the recordings live beside it
     (:class:`~repro.fleet.cache.WorkloadStore`), so a warm re-run reads
-    each workload instead of simulating the recording again.  A fresh
-    recording goes through this module's ``record_workload`` name, so
-    anything that wraps that name sees exactly the real recordings.
+    each workload instead of simulating the recording again.  Workloads
+    missing from the store are recorded on up to ``jobs`` processes and
+    stored as they arrive.
     """
 
     def __init__(self, cache: ResultCache | None) -> None:
@@ -269,16 +282,39 @@ class _Workloads:
         return sum(1 for artifacts in self._loaded if artifacts.parsed)
 
     def get(self, spec, master_seed: int):
-        if self.store is not None:
-            artifacts = self.store.load(spec.name, master_seed)
-            if artifacts is not None:
-                self._loaded.append(artifacts)
-                return artifacts
-        artifacts = record_workload(spec, master_seed=master_seed)
-        self.recorded += 1
-        if self.store is not None:
-            self.store.store(artifacts)
+        [artifacts] = self.get_all([spec], master_seed)
         return artifacts
+
+    def get_all(self, specs, master_seed: int, jobs: int = 1) -> list:
+        """One workload per spec, in spec order."""
+        from repro.fleet.backends.local import pool_map
+
+        found = {}
+        missing = {}
+        for spec in specs:
+            if spec.name in found or spec.name in missing:
+                continue
+            artifacts = (
+                self.store.load(spec.name, master_seed)
+                if self.store is not None
+                else None
+            )
+            if artifacts is None:
+                missing[spec.name] = spec
+            else:
+                self._loaded.append(artifacts)
+                found[spec.name] = artifacts
+        recordings = pool_map(
+            _record_task,
+            [(spec, master_seed) for spec in missing.values()],
+            jobs,
+        )
+        for artifacts in recordings:
+            self.recorded += 1
+            if self.store is not None:
+                self.store.store(artifacts)
+            found[artifacts.name] = artifacts
+        return [found[spec.name] for spec in specs]
 
 
 def _print_cache_summary(cache: ResultCache | None, workloads: _Workloads) -> None:
@@ -373,30 +409,25 @@ def cmd_study(args) -> int:
     names = list(args.datasets)
     if args.scenarios:
         names.extend(canonical_scenario(s) for s in args.scenarios)
-    sweeps = {}
-    artifacts_list = []
+    specs = [dataset(name) for name in names]  # validated before recording
     workloads = _Workloads(cache)
-    # One reporter across every per-workload sweep: the JSONL stream is a
-    # single ordered sequence (monotonic seq), re-bound per grid.
+    artifacts_list = workloads.get_all(specs, seed, jobs=args.jobs)
+    # Every workload's grid runs as one fleet batch: one grid_bound and
+    # one fleet_summary on the JSONL stream.
     jsonl = _progress_jsonl(args)
-    reporter = _progress("study", args.verbose, jsonl)
     try:
-        for name in names:
-            artifacts = workloads.get(dataset(name), seed)
-            artifacts_list.append(artifacts)
-            if reporter is not None:
-                reporter.label = name
-            sweeps[name] = run_sweep(
-                artifacts,
-                reps=args.reps,
-                master_seed=seed,
-                jobs=args.jobs,
-                cache=cache,
-                progress=reporter,
-                backend=backend,
-            )
+        results = run_sweeps(
+            artifacts_list,
+            reps=args.reps,
+            master_seed=seed,
+            jobs=args.jobs,
+            cache=cache,
+            progress=_progress("study", args.verbose, jsonl),
+            backend=backend,
+        )
     finally:
         _close_progress_jsonl(jsonl)
+    sweeps = {sweep.workload: sweep for sweep in results}
     print("Fig. 10 — input classification")
     print(figures.render_fig10(artifacts_list))
     print()
@@ -616,6 +647,15 @@ def cmd_perf(args) -> int:
     return 0
 
 
+def _replay_config(config: str, spec) -> str:
+    """``--config`` of one replay, validated and canonicalised like a
+    sweep's, over the OPPs of the workload's device."""
+    from repro.scenarios.profiles import frequency_table_for
+
+    [canonical] = parse_sweep_configs([config], frequency_table_for(spec))
+    return canonical
+
+
 def cmd_trace(args) -> int:
     """Replay one workload with full observability and export the trace."""
     from repro import obs
@@ -628,13 +668,13 @@ def cmd_trace(args) -> int:
         if "=" in args.workload
         else args.workload
     )
-    artifacts = record_workload(dataset(name), master_seed=seed)
+    spec = dataset(name)
+    config = _replay_config(args.config, spec)
+    artifacts = record_workload(spec, master_seed=seed)
     session = obs.ObsSession.for_tracing()
     with obs.observed(session):
-        record = replay_run(
-            artifacts, args.config, rep=args.rep, master_seed=seed
-        )
-    run_label = f"{name} [{args.config}]"
+        record = replay_run(artifacts, config, rep=args.rep, master_seed=seed)
+    run_label = f"{name} [{config}]"
     session.tracer.write(args.output, run_label)
     # Summary on stderr only: like every other command, stdout stays
     # reserved for deterministic study output.
@@ -686,15 +726,15 @@ def cmd_attribute(args) -> int:
         if "=" in args.workload
         else args.workload
     )
-    artifacts = record_workload(dataset(name), master_seed=seed)
+    spec = dataset(name)
+    config = _replay_config(args.config, spec)
+    artifacts = record_workload(spec, master_seed=seed)
     session = obs.ObsSession.for_tracing()
     with obs.observed(session):
-        record = replay_run(
-            artifacts, args.config, rep=args.rep, master_seed=seed
-        )
+        record = replay_run(artifacts, config, rep=args.rep, master_seed=seed)
     attribution = attribute_record(record, boosts=session.decisions.boosts)
     if args.output:
-        run_label = f"{name} [{args.config}]"
+        run_label = f"{name} [{config}]"
         document = annotate_document(
             session.tracer.to_chrome_trace(run_label), attribution
         )

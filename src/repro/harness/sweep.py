@@ -9,6 +9,7 @@ The 85 runs are enumerated as :class:`~repro.fleet.spec.RunSpec` values
 and dispatched through a :class:`~repro.fleet.engine.FleetEngine`, so a
 sweep can run on N workers (``jobs``) and reuse cached cells
 (``cache``) while producing output bit-identical to the serial loop.
+:func:`run_sweeps` runs several workloads' sweeps as one fleet batch.
 """
 
 from __future__ import annotations
@@ -208,41 +209,104 @@ def run_sweep(
 ) -> SweepResult:
     """Execute the 85-run study for one workload and compose its oracle.
 
-    ``jobs`` fans the runs out over a fleet of worker processes and
-    ``cache`` serves already-computed cells from disk; ``backend``
-    swaps the execution backend (a
-    :class:`~repro.fleet.backends.registry.FleetBackend`, e.g. the
-    distributed work queue).  All of them leave the result bit-identical
-    to the serial, uncached path.
+    The one-workload case of :func:`run_sweeps`; see there.
+    """
+    [sweep] = run_sweeps(
+        [artifacts],
+        reps=reps,
+        configs=configs,
+        master_seed=master_seed,
+        power_model=power_model,
+        table=table,
+        progress=progress,
+        jobs=jobs,
+        cache=cache,
+        backend=backend,
+    )
+    return sweep
 
-    By default the OPP table and power model come from the workload's
+
+def run_sweeps(
+    workloads: list[WorkloadArtifacts],
+    reps: int = 5,
+    configs: list[str] | None = None,
+    master_seed: int | None = None,
+    power_model: PowerModel | None = None,
+    table: FrequencyTable | None = None,
+    progress: Callable[[str, int], None] | ProgressReporter | None = None,
+    jobs: int = 1,
+    cache: ResultCache | None = None,
+    backend=None,
+) -> list[SweepResult]:
+    """Execute every workload's sweep in one fleet batch; one result each.
+
+    The grids of all workloads go to the fleet engine in a single call,
+    so ``jobs`` workers stay busy across workload boundaries; results
+    are then grouped and each oracle composed per workload.  ``cache``
+    serves already-computed cells from disk and ``backend`` swaps the
+    execution backend (a
+    :class:`~repro.fleet.backends.registry.FleetBackend`, e.g. the
+    distributed work queue).  None of them changes a result: every
+    sweep is bit-identical to the serial, uncached path.
+
+    By default each workload's OPP table and power model come from its
     device profile, so a scenario on ``quad_ls`` sweeps (and composes
     its oracle over) that device's table, not the stock one.
     """
     from repro.scenarios.profiles import frequency_table_for, power_model_for
 
-    table = table or frequency_table_for(artifacts.spec)
-    power_model = power_model or power_model_for(artifacts.spec)
-    # Canonicalise up front so every spelling of a configuration shares
-    # one cache cell, one RNG stream and one results key.
-    configs = parse_sweep_configs(
-        configs if configs is not None else sweep_configs(table), table
-    )
-    if master_seed is None:
-        master_seed = artifacts.recording_master_seed
-    specs = enumerate_sweep_specs(artifacts.name, configs, reps, master_seed)
+    grids = []
+    specs: list[RunSpec] = []
+    for artifacts in workloads:
+        workload_table = table or frequency_table_for(artifacts.spec)
+        # Canonicalise up front so every spelling of a configuration
+        # shares one cache cell, one RNG stream and one results key.
+        workload_configs = parse_sweep_configs(
+            configs if configs is not None else sweep_configs(workload_table),
+            workload_table,
+        )
+        seed = (
+            artifacts.recording_master_seed
+            if master_seed is None
+            else master_seed
+        )
+        grid = enumerate_sweep_specs(
+            artifacts.name, workload_configs, reps, seed
+        )
+        grids.append((artifacts, workload_table, workload_configs, len(grid)))
+        specs.extend(grid)
     engine = FleetEngine(
         jobs=jobs,
         cache=cache,
         progress=_progress_hook(progress, specs),
         backend=backend,
     )
-    results = engine.run(artifacts, specs)
-    runs = group_results_by_config(specs, results, configs)
-    oracle = compose_oracle_from_runs(artifacts, runs, table, power_model)
-    return SweepResult(
-        workload=artifacts.name, runs=runs, oracle=oracle, table=table
+    results = engine.run(
+        {artifacts.name: artifacts for artifacts in workloads}, specs
     )
+    sweeps = []
+    start = 0
+    for artifacts, workload_table, workload_configs, count in grids:
+        end = start + count
+        runs = group_results_by_config(
+            specs[start:end], results[start:end], workload_configs
+        )
+        start = end
+        oracle = compose_oracle_from_runs(
+            artifacts,
+            runs,
+            workload_table,
+            power_model or power_model_for(artifacts.spec),
+        )
+        sweeps.append(
+            SweepResult(
+                workload=artifacts.name,
+                runs=runs,
+                oracle=oracle,
+                table=workload_table,
+            )
+        )
+    return sweeps
 
 
 def compose_oracle_from_runs(

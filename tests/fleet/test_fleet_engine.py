@@ -150,3 +150,43 @@ def test_fallback_reason_counted_even_when_full_rerun_fails(
     assert stats.executed == 1
     assert stats.full_cells == 1
     assert stats.straggler_summary()["runs"] == stats.executed
+
+
+@pytest.fixture(scope="module")
+def short_scenario():
+    from repro.harness.experiment import record_workload
+    from repro.scenarios.config import canonical_scenario
+    from repro.workloads.datasets import dataset
+
+    name = canonical_scenario("persona=reader,seed=1,duration=30s")
+    return record_workload(dataset(name), master_seed=2014)
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_one_batch_over_two_workloads_matches_separate_runs(
+    artifacts_ds03, short_scenario, small_specs, serial_results, jobs,
+    monkeypatch,
+):
+    """Specs of several workloads run as one batch, each on the workload
+    its ``dataset`` names, and equal one run per workload."""
+    monkeypatch.setenv("REPRO_DEMAND", "1")
+    other_specs = enumerate_sweep_specs(
+        short_scenario.name, SMALL_CONFIGS, 1, 2014
+    )
+    alone = FleetEngine(jobs=1).run(short_scenario, other_specs)
+    workloads = {a.name: a for a in (artifacts_ds03, short_scenario)}
+    mixed = [*other_specs, *small_specs]
+    engine = FleetEngine(jobs=jobs)
+    assert engine.run(workloads, mixed) == alone + serial_results
+    stats = engine.last_stats
+    assert stats.executed == len(mixed)
+    assert stats.demand_cells == len(mixed)
+    assert stats.demand_trace_source == "captured"
+
+
+def test_a_spec_naming_no_workload_of_the_run_is_rejected(
+    artifacts_ds03, small_specs
+):
+    stray = RunSpec("02", "ondemand", 0, 2014)
+    with pytest.raises(ReproError, match="names workload '02'"):
+        FleetEngine(jobs=1).run(artifacts_ds03, [*small_specs, stray])

@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from repro.harness.cli import build_parser, main
 from repro.obs.validate import validate_file
 
@@ -31,6 +33,27 @@ def test_attribute_command_deterministic_across_jobs(tmp_path, capsys):
                  "-o", str(trace_2), "--jobs", "2"]) == 0
     assert capsys.readouterr().out == out_jobs_1
     assert trace_2.read_text() == trace_1.read_text()
+
+
+@pytest.mark.parametrize("command", ["attribute", "trace"])
+@pytest.mark.parametrize(
+    "config", ["qoe_aware:boost=2265601", "interactive:hispeed=999"]
+)
+def test_replay_commands_reject_non_opp_frequency_tunables(
+    command, config, tmp_path, capsys
+):
+    """A frequency tunable off the device's OPP table would silently
+    clamp at runtime; trace and attribute reject it the way sweep does,
+    with the CLI's one-line error, before recording anything."""
+    argv = [command, "03", "--config", config]
+    if command == "trace":
+        argv += ["-o", str(tmp_path / "trace.json")]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("repro-qoe: error: config ")
+    assert "is not an operating point of the table" in err
+    assert err.count("\n") == 1
+    assert not (tmp_path / "trace.json").exists()
 
 
 def test_attribute_parser_defaults():
